@@ -142,8 +142,15 @@ def _validate(values: dict) -> None:
     ):
         if values[name] < 0:
             raise ConfigError(f"{name} must be >= 0, got {values[name]}")
-    if values["samples"] < 1 or values["oracle_sets"] < 1:
-        raise ConfigError("samples and oracle_sets must be >= 1")
+    # one sample has no standard error: the gain error bar would read 0
+    if values["samples"] < 2:
+        raise ConfigError(f"samples must be >= 2, got {values['samples']}")
+    if values["oracle_sets"] < 1:
+        raise ConfigError("oracle_sets must be >= 1")
+    if np.any(np.diff(values["field_grid"]) < 0):
+        raise ConfigError("field_grid must be sorted ascending")
+    if len(values["rate_grid"]) == 0:
+        raise ConfigError("rate_grid must not be empty")
     if not 0.0 <= values["retrieval_eta0"] <= 1.0:
         raise ConfigError("retrieval_eta0 must lie in [0, 1]")
 

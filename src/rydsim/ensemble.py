@@ -122,8 +122,10 @@ def _intensities_with_gate(
     samples: GeometrySamples,
     params: PropagationParams,
     interaction: InteractionParams,
-    field: float,
+    field: float | np.ndarray,
 ) -> np.ndarray:
+    """Per-sample gated intensities; shape (n,) for a scalar field and
+    (n_fields, n) for a field grid, solved in one `transmission_batch`."""
     amps = transmission_batch(
         samples.offsets,
         samples.gates,
@@ -220,7 +222,9 @@ def field_scan(
 
     One geometry sample set is drawn up front and reused at every field
     (common random numbers), so the scan is smooth in the field and
-    bit-reproducible for a fixed seed.
+    bit-reproducible for a fixed seed.  The transport geometry is built
+    once per scan: one `transmission_batch` call gives the whole
+    (fields x samples) intensity table.
     """
     fields = np.asarray(fields, dtype=float)
     if np.any(np.diff(fields) < 0):
@@ -233,8 +237,8 @@ def field_scan(
     errs = np.empty(fields.size)
     t1s = np.empty(fields.size)
     n = samples.offsets.shape[0]
-    for k, field in enumerate(fields):
-        i1 = _intensities_with_gate(samples, params, interaction, field)
+    table = _intensities_with_gate(samples, params, interaction, fields)
+    for k, i1 in enumerate(table):
         t1 = float(np.mean(i1))
         t1s[k] = t1
         gains[k] = optical_gain(t0, min(t1, t0), stats)

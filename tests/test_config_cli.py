@@ -148,3 +148,23 @@ class TestCli:
         runner = CliRunner()
         result = runner.invoke(main, ["starkmap", "--config", "/nope.cfg"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "scan, args, message",
+        [
+            ("gain-scan", ["--set", "field_grid=0.72,0.70"], "sorted ascending"),
+            ("fidelity-scan", ["--set", "rate_grid=", "--set", "field_grid=0.71"],
+             "rate_grid must not be empty"),
+            ("gain-scan", ["--samples", "1", "--set", "field_grid=0.70,0.71"],
+             "samples must be >= 2"),
+        ],
+    )
+    def test_bad_scan_input_exits_with_config_code(self, tmp_path, scan, args,
+                                                   message):
+        runner = CliRunner()
+        result = runner.invoke(main, [scan, *args, "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "config error:" in result.stderr
+        assert message in result.stderr
+        assert not (tmp_path / "summary.json").exists()

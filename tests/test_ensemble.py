@@ -8,6 +8,7 @@ import pytest
 from rydsim.ensemble import (
     ExperimentGeometry,
     PhotonStats,
+    _intensities_with_gate,
     average_transmission,
     boxcar_convolve,
     field_scan,
@@ -107,6 +108,18 @@ class TestFieldScan:
         assert all(p.t0 >= p.t1 for p in points)
         # gain peaks on resonance within this bracket
         assert max(points, key=lambda p: p.gain).field == pytest.approx(0.71)
+
+    def test_grid_t1_matches_scalar_field_intensities(self, setup):
+        fields = [0.68, 0.71, 0.74]
+        points = field_scan(
+            setup.pair, setup.geometry, setup.params, setup.interaction,
+            fields, setup.stats, n_samples=300, seed=2,
+        )
+        samples = sample_geometry(setup.geometry, 300, np.random.default_rng(2))
+        i1 = _intensities_with_gate(samples, setup.params, setup.interaction,
+                                    fields[1])
+        assert i1.shape == (300,)
+        assert points[1].t1 == pytest.approx(np.mean(i1), abs=1e-12)
 
     def test_rejects_unsorted_grid(self, setup):
         with pytest.raises(ValueError):

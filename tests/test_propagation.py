@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rydsim.atomic_states import PairChannel, RydbergLevel
-from rydsim.interaction import InteractionParams
+from rydsim.config import build_setup, load_config
+from rydsim.interaction import InteractionParams, effective_c6
 from rydsim.propagation import (
     PropagationParams,
     eit_baseline,
@@ -115,6 +116,50 @@ class TestBatchSolver:
         for amp, s in zip(batch, [1.0, 0.5, 0.25]):
             expected = eit_baseline(setup.params, density_scale=s).amplitude
             assert abs(amp - expected) < 1e-4
+        grid = transmission_batch(
+            np.zeros((3, 2)), None, setup.params, field=[0.7, 0.71],
+            density_scale=[1.0, 0.5, 0.25],
+        )
+        assert np.array_equal(grid, np.stack([batch, batch]))
+
+
+class TestFieldGrid:
+    """A field grid solves the geometry once; each row must equal the
+    scalar-field call at that field."""
+
+    @pytest.mark.parametrize("pair_system, lo, hi", [
+        ("rb87_50s48s", 0.69, 0.73),
+        ("rb87_66s64s", 0.06, 0.10),
+    ])
+    def test_grid_matches_stacked_scalar_calls(self, rng, pair_system, lo, hi):
+        setup = build_setup(load_config(None, "gain-scan",
+                                        {"pair_system": pair_system}))
+        fields = np.linspace(lo, hi, 9)
+        re_c6 = [effective_c6(setup.params.omega, f, setup.interaction).real
+                 for f in fields]
+        assert min(re_c6) < 0.0 < max(re_c6)  # the grid crosses a resonance
+        n = 40
+        offsets = rng.normal(0.0, 3.5, size=(n, 2))
+        gates = np.column_stack(
+            [rng.normal(0.0, 3.5, size=(n, 2)), rng.normal(0.0, 15.0, size=n)]
+        )
+        scales = rng.uniform(0.4, 1.0, size=n)
+        grid = transmission_batch(offsets, gates, setup.params, setup.interaction,
+                                  field=fields, density_scale=scales)
+        stacked = np.stack([
+            transmission_batch(offsets, gates, setup.params, setup.interaction,
+                               field=f, density_scale=scales)
+            for f in fields
+        ])
+        assert stacked.shape == (fields.size, n)
+        assert grid.shape == (fields.size, n)
+        assert np.max(np.abs(grid - stacked)) <= 1e-12
+
+    def test_scalar_field_keeps_sample_shape(self, setup):
+        gates = np.array([[0.0, 0.0, 5.0], [1.0, -1.0, -20.0], [0.5, 0.5, 0.0]])
+        amps = transmission_batch(np.zeros((3, 2)), gates, setup.params,
+                                  setup.interaction, field=setup.resonance_field)
+        assert amps.shape == (3,)
 
 
 def test_time_domain_oracle_agrees_with_frequency_solver():
