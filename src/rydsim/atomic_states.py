@@ -14,7 +14,7 @@ with the three coefficients calibrated per channel in a data file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -153,6 +153,19 @@ def _validate(values: dict) -> None:
         raise ConfigError("rate_grid must not be empty")
     if not 0.0 <= values["retrieval_eta0"] <= 1.0:
         raise ConfigError("retrieval_eta0 must lie in [0, 1]")
+    # the spin-wave grid needs two points for its gradient and its norm
+    if values["spinwave_points"] < 2:
+        raise ConfigError(
+            f"spinwave_points must be >= 2, got {values['spinwave_points']}"
+        )
+    if values["retrieval_offsets"] < 1:
+        raise ConfigError(
+            f"retrieval_offsets must be >= 1, got {values['retrieval_offsets']}"
+        )
+    if len(values["source_means"]) == 0:
+        raise ConfigError("source_means must not be empty")
+    if min(values["source_means"]) < 0:
+        raise ConfigError("source_means must all be >= 0")
 
 
 def _parse_scalar(key: str, raw: str, source: str, lineno: int):

@@ -21,7 +21,7 @@ gate-source P-pair component) as an independent oracle.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

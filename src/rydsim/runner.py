@@ -15,14 +15,17 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from . import detection, ensemble, spinwave
-from .atomic_states import defect_table, resonance_fields
+from .atomic_states import (
+    PairChannel,
+    RydbergLevel,
+    defect_table,
+    resonance_fields,
+)
 from .config import SCHEMA_VERSION, RunConfig, SimulationSetup, build_setup
-from .atomic_states import PairChannel, RydbergLevel
 from .interaction import InteractionParams, blockade_radius
 from .propagation import (
     PropagationParams,
@@ -168,7 +171,9 @@ def run_retrieval(setup: SimulationSetup, out_dir: Path) -> dict:
     # retrieval at one scattered photon, interpolated on the model curve
     ns = np.array([r.n_scattered_mean for r in model_rows])
     eff = np.array([r.efficiency for r in model_rows])
-    at_one = float(np.interp(1.0, ns, eff)) if ns.max() >= 1.0 else float("nan")
+    # null, not NaN, when the curve never reaches one scattered photon:
+    # a bare NaN is not valid JSON
+    at_one = float(np.interp(1.0, ns, eff)) if ns.max() >= 1.0 else None
     return {
         "field_v_cm": float(field),
         "zero_source_efficiency": float(eff[0]) if means[0] == 0 else None,

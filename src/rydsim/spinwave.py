@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sps
 
 from .ensemble import ExperimentGeometry, sample_geometry
 from .errors import NumericsError
@@ -70,8 +69,12 @@ class PhotonChannel:
     def decoherence_matrix(self) -> np.ndarray:
         """D with rho_f = D * rho elementwise; D[g,g] = 1."""
         t = self.transmit
-        k = np.einsum("sg,sh->gh", self.scatter, self.scatter.conj())
-        return np.outer(t, t.conj()) + k
+        return np.outer(t, t.conj()) + _scatter_overlap(self.scatter)
+
+
+def _scatter_overlap(scatter: np.ndarray) -> np.ndarray:
+    """K[g,h] = sum_s scatter[s,g] conj(scatter[s,h]), as one GEMM."""
+    return scatter.T @ scatter.conj()
 
 
 def stored_spinwave(
@@ -122,11 +125,9 @@ def photon_channel(
     t_dist_sq = (source_offset[0] - gate_offset[0]) ** 2 + (
         source_offset[1] - gate_offset[1]
     ) ** 2
-    chi = np.empty((n_g, n_g), dtype=complex)  # [g, s]
-    for i in range(n_g):
-        chi[i] = chi_values(
-            grid, params, pref, grid[i], t_dist_sq, density_scale
-        )
+    chi = chi_values(  # [g, s]
+        grid[None, :], params, pref, grid[:, None], t_dist_sq, density_scale
+    )
     dz = np.gradient(grid)
     weights = np.clip(chi.imag, 0.0, None) * dz[None, :]
     norm = weights.sum(axis=1)
@@ -166,8 +167,7 @@ def channel_branches(
     """Unnormalized transmitted and scattered branches of the output state."""
     t = channel.transmit
     rho_p = np.outer(t, t.conj()) * rho
-    k = np.einsum("sg,sh->gh", channel.scatter, channel.scatter.conj())
-    rho_s = k * rho
+    rho_s = _scatter_overlap(channel.scatter) * rho
     return rho_p, rho_s
 
 
@@ -187,31 +187,12 @@ def uhlmann_fidelity(rho_i: np.ndarray, rho_f: np.ndarray) -> float:
     return float(sing.sum() ** 2)
 
 
-def state_fidelity(
-    rho_i: np.ndarray,
-    rho_p: np.ndarray,
-    rho_s: Optional[np.ndarray] = None,
-) -> Tuple[float, float, float]:
-    """(F, F_p, F_s) with branch fidelities computed on unnormalized branches.
-
-    With only two arguments the second is the full final state and
-    F = F_p, F_s = 0.
-    """
-    f_p = uhlmann_fidelity(rho_i, rho_p)
-    f_s = uhlmann_fidelity(rho_i, rho_s) if rho_s is not None else 0.0
-    return f_p + f_s, f_p, f_s
-
-
 @dataclass(frozen=True)
 class RetrievalPoint:
     n_in_mean: float
     n_scattered_mean: float
     efficiency: float
     model_variant: str
-
-
-def _poisson_weights(mean: float, k_max: int) -> np.ndarray:
-    return sps.poisson.pmf(np.arange(k_max + 1), mean)
 
 
 def retrieval_efficiency_curve(
@@ -238,15 +219,20 @@ def retrieval_efficiency_curve(
         weights = np.full(len(groups), 1.0 / len(groups))
     eta_base = eta0 * math.exp(-storage_time / state.intrinsic_lifetime)
     p_diag = np.real(np.diag(state.rho))
-    k_max = int(np.ceil(source_means.max() + 10.0 * math.sqrt(source_means.max() + 1.0)))
+    psi = np.sqrt(p_diag)  # stored mode amplitudes (real by construction)
+    w = psi[:, None] * state.rho * psi[None, :]
 
     # Each group shares one stored-gate transverse offset; within a group
     # every source photon independently samples its transverse path, so the
-    # per-photon channel is the source-averaged mixture.
-    overlap = np.empty((len(groups), k_max + 1))
+    # per-photon channel is the source-averaged mixture.  k photons apply
+    # D elementwise k times, and the Poisson average over k is exact:
+    # sum_k Poisson(k; mu) D^k = exp(mu (D - 1)).
+    overlap = np.empty((len(groups), source_means.size))
     p_scatter = np.empty(len(groups))
     for ic, group in enumerate(groups):
-        d = np.mean([ch.decoherence_matrix for ch in group], axis=0)
+        d_less_one = (
+            np.mean([ch.decoherence_matrix for ch in group], axis=0) - 1.0
+        )
         # count only the scattering the gate causes: photons lost to the
         # gate-independent background carry no which-path information
         excess = [
@@ -259,19 +245,15 @@ def retrieval_efficiency_curve(
             for ch in group
         ]
         p_scatter[ic] = float(np.mean(excess))
-        dk = np.ones_like(d)
-        psi = np.sqrt(p_diag)  # stored mode amplitudes (real by construction)
-        for k in range(k_max + 1):
-            overlap[ic, k] = float(np.real(psi @ ((dk * state.rho) @ psi)))
-            dk = dk * d
+        for im, mean in enumerate(source_means):
+            overlap[ic, im] = float(np.sum(w * np.exp(mean * d_less_one)).real)
 
     rows = []
-    for mean in source_means:
-        pk = _poisson_weights(mean, k_max)
+    for im, mean in enumerate(source_means):
         eff = 0.0
         n_scat = 0.0
         for ic in range(len(groups)):
-            eff += weights[ic] * float(pk @ overlap[ic])
+            eff += weights[ic] * overlap[ic, im]
             n_scat += weights[ic] * mean * p_scatter[ic]
         rows.append(
             RetrievalPoint(

@@ -157,6 +157,16 @@ class TestCli:
              "rate_grid must not be empty"),
             ("gain-scan", ["--samples", "1", "--set", "field_grid=0.70,0.71"],
              "samples must be >= 2"),
+            ("retrieval", ["--set", "spinwave_points=0"],
+             "spinwave_points must be >= 2"),
+            ("retrieval", ["--set", "spinwave_points=1"],
+             "spinwave_points must be >= 2"),
+            ("retrieval", ["--set", "retrieval_offsets=0"],
+             "retrieval_offsets must be >= 1"),
+            ("retrieval", ["--set", "source_means="],
+             "source_means must not be empty"),
+            ("retrieval", ["--set", "source_means=0,1,-2"],
+             "source_means must all be >= 0"),
         ],
     )
     def test_bad_scan_input_exits_with_config_code(self, tmp_path, scan, args,
@@ -168,3 +178,21 @@ class TestCli:
         assert "config error:" in result.stderr
         assert message in result.stderr
         assert not (tmp_path / "summary.json").exists()
+
+    def test_retrieval_summary_is_strict_json(self, tmp_path):
+        # far off resonance the model curve never reaches one scattered
+        # photon, so the interpolated headline has no value
+        runner = CliRunner()
+        result = runner.invoke(main, [
+            "retrieval", "--set", "retrieval_field=5.0",
+            "--set", "retrieval_offsets=1", "--set", "spinwave_points=11",
+            "--out", str(tmp_path),
+        ])
+        assert result.exit_code == 0, result.output
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        text = (tmp_path / "summary.json").read_text(encoding="utf-8")
+        summary = json.loads(text, parse_constant=reject)
+        assert summary["headline"]["retrieval_at_one_scattered"] is None

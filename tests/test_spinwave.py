@@ -1,17 +1,22 @@
 """Stored spin-wave decoherence channel and retrieval efficiency."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy import stats
 
+from rydsim import spinwave
 from rydsim.errors import NumericsError
+from rydsim.propagation import chi_values
 from rydsim.spinwave import (
     PhotonChannel,
     SpinWaveState,
     apply_channel,
     blockade_beam_fraction,
+    channel_branches,
     limit_curves,
     photon_channel,
     retrieval_efficiency_curve,
@@ -136,6 +141,85 @@ class TestPhotonChannel:
             _, p_t, _ = apply_channel(state, ch)
             p_ts.append(p_t)
         assert abs(p_ts[0] - p_ts[1]) < 1e-3
+
+
+class TestDenseKernels:
+    """Dense kernels against per-row and per-power loop references."""
+
+    @pytest.fixture(scope="class")
+    def off_axis(self, setup):
+        state = stored_spinwave(setup.geometry, n_points=61)
+        ch = photon_channel(state.grid, setup.params, setup.interaction,
+                            setup.resonance_field, gate_offset=(1.5, -0.5),
+                            source_offset=(-2.0, 1.0), density_scale=0.8)
+        return state, ch
+
+    def test_channel_chi_matrix_matches_row_calls(self, setup, monkeypatch):
+        calls = []
+
+        def recording(*args, **kwargs):
+            chi = chi_values(*args, **kwargs)
+            calls.append((inspect.signature(chi_values).bind(*args, **kwargs), chi))
+            return chi
+
+        monkeypatch.setattr(spinwave, "chi_values", recording)
+        grid = np.linspace(-80.0, 80.0, 61)
+        photon_channel(grid, setup.params, setup.interaction,
+                       setup.resonance_field, gate_offset=(1.5, -0.5),
+                       source_offset=(-2.0, 1.0), density_scale=0.8)
+        ((bound, dense),) = calls
+        a = bound.arguments
+        assert a["transverse_dist_sq"] == pytest.approx(3.5**2 + 1.5**2)
+        assert a["density_scale"] == 0.8
+        # row g: chi at every scattering point s for the gate at grid[g]
+        rows = np.stack([
+            chi_values(grid, a["params"], a["vef_prefactor"], gz,
+                       a["transverse_dist_sq"], a["density_scale"])
+            for gz in grid
+        ])
+        assert dense.shape == rows.shape
+        assert np.max(np.abs(dense - rows)) <= 1e-12 * np.max(np.abs(rows))
+
+    def test_decoherence_matrix_matches_einsum(self, off_axis):
+        _, ch = off_axis
+        t = ch.transmit
+        ref = np.outer(t, t.conj()) + np.einsum(
+            "sg,sh->gh", ch.scatter, ch.scatter.conj())
+        assert np.max(np.abs(ch.decoherence_matrix - ref)) <= 1e-12
+
+    def test_scattered_branch_is_decoherence_minus_transmitted(self, off_axis):
+        state, ch = off_axis
+        t = ch.transmit
+        rho_p, rho_s = channel_branches(state.rho, ch)
+        ref = (ch.decoherence_matrix - np.outer(t, t.conj())) * state.rho
+        assert np.max(np.abs(rho_s - ref)) <= 1e-12
+        assert np.max(np.abs(rho_p - np.outer(t, t.conj()) * state.rho)) <= 1e-15
+
+    def test_generating_function_matches_truncated_poisson_sum(self, setup):
+        state = stored_spinwave(setup.geometry, n_points=61)
+        groups = transverse_channels(
+            state, setup.geometry, setup.params, setup.interaction,
+            setup.resonance_field, n_offsets=3, seed=0,
+        )
+        means = np.array([0.0, 0.5, 3.0, 20.0, 66.0, 140.0])
+        rows = retrieval_efficiency_curve(state, groups, means, eta0=0.25,
+                                          storage_time=4.2)
+
+        # sum_k Poisson(k; mu) <psi| D^k o rho |psi>, truncated far in the tail
+        psi = np.sqrt(np.real(np.diag(state.rho)))
+        k_max = int(np.ceil(means.max() + 10.0 * np.sqrt(means.max() + 1.0)))
+        overlap = np.empty((len(groups), k_max + 1))
+        for ic, group in enumerate(groups):
+            d = np.mean([ch.decoherence_matrix for ch in group], axis=0)
+            dk = np.ones_like(d)
+            for k in range(k_max + 1):
+                overlap[ic, k] = np.real(psi @ ((dk * state.rho) @ psi))
+                dk = dk * d
+        eta_base = 0.25 * np.exp(-4.2 / state.intrinsic_lifetime)
+        for row, mean in zip(rows, means):
+            pk = stats.poisson.pmf(np.arange(k_max + 1), mean)
+            ref = eta_base * np.mean(overlap @ pk)
+            assert row.efficiency == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestRetrievalCurve:
