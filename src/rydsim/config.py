@@ -147,10 +147,16 @@ def _validate(values: dict) -> None:
         raise ConfigError(f"samples must be >= 2, got {values['samples']}")
     if values["oracle_sets"] < 1:
         raise ConfigError("oracle_sets must be >= 1")
+    if not np.all(np.isfinite(values["field_grid"])):
+        raise ConfigError("field_grid entries must be finite")
     if np.any(np.diff(values["field_grid"]) < 0):
         raise ConfigError("field_grid must be sorted ascending")
     if len(values["rate_grid"]) == 0:
         raise ConfigError("rate_grid must not be empty")
+    # a rate sets a Poisson mean, so it must be a finite non-negative number
+    rates = np.asarray(values["rate_grid"], dtype=float)
+    if not np.all(np.isfinite(rates) & (rates >= 0)):
+        raise ConfigError("rate_grid entries must be finite and >= 0")
     if not 0.0 <= values["retrieval_eta0"] <= 1.0:
         raise ConfigError("retrieval_eta0 must lie in [0, 1]")
     # the spin-wave grid needs two points for its gradient and its norm

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import gammaln
 
 from .atomic_states import PairConfig
 from .ensemble import (
@@ -78,8 +78,9 @@ def separate_histograms(
         raise ValueError("p_excitation must lie strictly inside (0, 1)")
     hist = np.asarray(hist_gate_pulse, dtype=float)
     total = hist.sum()
-    k = np.arange(hist.size)
-    absent = (1.0 - p_excitation) * total * sps.poisson.pmf(k, mu0)
+    absent = (1.0 - p_excitation) * total * _poisson_pmf_rows(
+        [mu0], hist.size - 1
+    )[0]
     present = np.clip(hist - absent, 0.0, None)
     expected = p_excitation * total
     mass = present.sum()
@@ -128,12 +129,28 @@ def detection_fidelity(
     return float(score[tau]), tau
 
 
+def _poisson_pmf_rows(mus, k_max: int) -> np.ndarray:
+    """Poisson(k; mu_s) for counts k = 0..k_max, one row per mean.
+
+    Exact log-space evaluation, exp(k log mu - gammaln(k + 1) - mu), in
+    one (len(mus), k_max + 1) buffer.  Column 0 is set to -mu before the
+    exponential, so mu = 0 gives the exact delta at k = 0 instead of the
+    0 * log 0 = NaN of the product.
+    """
+    mus = np.asarray(mus, dtype=float)
+    k = np.arange(k_max + 1, dtype=float)
+    buf = np.empty((mus.size, k.size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.multiply(np.log(mus)[:, None], k, out=buf)
+    buf -= gammaln(k + 1.0)
+    buf -= mus[:, None]
+    buf[:, :1] = -mus[:, None]
+    return np.exp(buf, out=buf)
+
+
 def poisson_mixture_pmf(mus: np.ndarray, k_max: int) -> np.ndarray:
     """PMF of a uniform mixture of Poisson distributions over counts 0..k_max."""
-    mus = np.asarray(mus, dtype=float)
-    k = np.arange(k_max + 1)
-    pmf = sps.poisson.pmf(k[None, :], mus[:, None]).mean(axis=0)
-    return pmf
+    return _poisson_pmf_rows(mus, k_max).mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -161,10 +178,13 @@ def fidelity_scan(
     The per-shot count distributions are position-resolved Poisson
     mixtures built from the Monte Carlo transmission samples: the spread
     of blockade strength over gate positions, not shot noise alone,
-    limits the fidelity.  Fidelity is convolved with the same boxcar
-    field-resolution kernel as the gain.  The transport geometry is built
-    once per scan (one `transmission_batch` call for all fields), and the
-    absent-excitation mixture once per rate.
+    limits the fidelity.  Each mixture is exact over the count window
+    0..k_max, k_max = ceil(mu_max + 8 sqrt(mu_max + 1)) for the largest
+    absent-gate mean: every sample's Poisson pmf is evaluated in log space
+    and averaged, with no per-sample truncation.  Fidelity is convolved
+    with the same boxcar field-resolution kernel as the gain.  The
+    transport geometry is built once per scan (one `transmission_batch`
+    call for all fields), and the absent-excitation mixture once per rate.
     """
     fields = np.asarray(fields, dtype=float)
     rates = np.asarray(rates, dtype=float)

@@ -26,6 +26,7 @@ from .atomic_states import (
     resonance_fields,
 )
 from .config import SCHEMA_VERSION, RunConfig, SimulationSetup, build_setup
+from .errors import NumericsError
 from .interaction import InteractionParams, blockade_radius
 from .propagation import (
     PropagationParams,
@@ -115,6 +116,12 @@ def run_fidelity_scan(setup: SimulationSetup, out_dir: Path) -> dict:
         fields, rates, setup.stats, n_samples=setup.config.samples,
         seed=setup.config.seed,
     )
+    bad = [p for p in points if not math.isfinite(p.fidelity)]
+    if bad:
+        raise NumericsError(
+            f"{len(bad)} non-finite fidelities, first at field "
+            f"{bad[0].field:.6g} V/cm, rate {bad[0].rate:.6g} /us"
+        )
     rows = [[p.field, p.rate, p.fidelity, p.threshold] for p in points]
     _write_csv(out_dir / "fidelity_scan.csv",
                ["field_v_cm", "rate_per_us", "fidelity", "threshold"], rows)

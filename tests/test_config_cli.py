@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from rydsim import detection
 from rydsim.cli import main
 from rydsim.config import SCAN_TYPES, build_setup, load_config
 from rydsim.errors import ChannelError, ConfigError
@@ -167,6 +169,16 @@ class TestCli:
              "source_means must not be empty"),
             ("retrieval", ["--set", "source_means=0,1,-2"],
              "source_means must all be >= 0"),
+            ("fidelity-scan", ["--set", "rate_grid=-5,10"],
+             "rate_grid entries must be finite and >= 0"),
+            ("fidelity-scan", ["--set", "rate_grid=10,nan"],
+             "rate_grid entries must be finite and >= 0"),
+            ("fidelity-scan", ["--set", "rate_grid=inf"],
+             "rate_grid entries must be finite and >= 0"),
+            ("fidelity-scan", ["--set", "field_grid=0.70,nan"],
+             "field_grid entries must be finite"),
+            ("gain-scan", ["--set", "field_grid=-inf,0.70"],
+             "field_grid entries must be finite"),
         ],
     )
     def test_bad_scan_input_exits_with_config_code(self, tmp_path, scan, args,
@@ -196,3 +208,20 @@ class TestCli:
         text = (tmp_path / "summary.json").read_text(encoding="utf-8")
         summary = json.loads(text, parse_constant=reject)
         assert summary["headline"]["retrieval_at_one_scattered"] is None
+
+    def test_non_finite_fidelity_exits_with_numerics_code(self, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setattr(
+            detection, "poisson_mixture_pmf",
+            lambda mus, k_max: np.full(k_max + 1, np.nan),
+        )
+        runner = CliRunner()
+        result = runner.invoke(main, [
+            "fidelity-scan", "--samples", "20", "--set", "field_grid=0.70,0.71",
+            "--set", "rate_grid=10", "--out", str(tmp_path),
+        ])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "numerical failure:" in result.stderr
+        assert "non-finite fidelities" in result.stderr
+        assert list(tmp_path.iterdir()) == []

@@ -1,9 +1,14 @@
 """Count histograms, component separation and readout fidelity."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats as sps
 
+from rydsim import detection
+from rydsim.config import build_setup, load_config
 from rydsim.detection import (
     CountModel,
     count_histograms,
@@ -31,6 +36,48 @@ class TestPoissonMixture:
     def test_normalized(self):
         pmf = poisson_mixture_pmf(np.array([3.0, 9.0]), 60)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-3, 0.5, 40.0, 385.0, 1000.0])
+    def test_matches_scipy_reference(self, mu):
+        # the count window fidelity_scan uses for this mean
+        k_max = math.ceil(mu + 8.0 * math.sqrt(mu + 1.0))
+        pmf = poisson_mixture_pmf(np.array([mu]), k_max)
+        ref = _poisson_hist(mu, k_max)
+        assert pmf.shape == ref.shape
+        assert np.max(np.abs(pmf - ref)) <= 1e-15
+        big = ref > 1e-300
+        assert np.max(np.abs(pmf[big] - ref[big]) / ref[big]) <= 1e-11
+
+    def test_zero_mean_is_exact_delta(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pmf = poisson_mixture_pmf(np.array([0.0, 0.0]), 6)
+        assert np.array_equal(pmf, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+
+    def test_fidelity_scan_matches_scipy_reference(self, monkeypatch):
+        setup = build_setup(load_config(None, "fidelity-scan"))
+        fields = setup.resonance_field + np.array([-2e-3, 0.0, 2e-3])
+        rates = [0.0, 10.0, 35.0]
+
+        def scan():
+            return detection.fidelity_scan(
+                setup.pair, setup.geometry, setup.params, setup.interaction,
+                fields, rates, setup.stats, n_samples=400, seed=5,
+            )
+
+        new = scan()
+        monkeypatch.setattr(
+            detection, "poisson_mixture_pmf",
+            lambda mus, k_max: sps.poisson.pmf(
+                np.arange(k_max + 1)[None, :], np.asarray(mus)[:, None]
+            ).mean(axis=0),
+        )
+        ref = scan()
+        assert [p.threshold for p in new] == [p.threshold for p in ref]
+        assert [p.fidelity for p in new] == pytest.approx(
+            [p.fidelity for p in ref], rel=1e-12, abs=0.0
+        )
+        assert max(p.fidelity for p in new) > 0.5
 
 
 class TestDetectionFidelity:
@@ -93,6 +140,12 @@ class TestSeparation:
         gate = _poisson_hist(20.0) * 10000
         with pytest.warns(UserWarning, match="mass"):
             separate_histograms(gate, 0.05, 5.0)
+
+    def test_absent_component_matches_scipy_reference(self):
+        gate = (0.3 * _poisson_hist(5.0, 60) + 0.7 * _poisson_hist(20.0, 60)) * 5000
+        _, absent = separate_histograms(gate, 0.3, 20.0)
+        ref = 0.7 * gate.sum() * sps.poisson.pmf(np.arange(61), 20.0)
+        assert np.max(np.abs(absent - ref)) <= 1e-14 * ref.max()
 
     def test_p_excitation_bounds(self):
         with pytest.raises(ValueError):
