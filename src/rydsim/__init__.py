@@ -14,7 +14,6 @@ from .atomic_states import (
 from .ensemble import (
     ExperimentGeometry,
     PhotonStats,
-    average_transmission,
     field_scan,
     nondestructive_limit,
     optical_gain,
@@ -23,14 +22,12 @@ from .interaction import (
     InteractionParams,
     blockade_radius,
     dipole_hamiltonian,
-    effective_potential,
     hopping_suppression,
 )
 from .propagation import (
     PropagationParams,
     TransmissionResult,
     eit_baseline,
-    susceptibility,
     transmission_freq,
     transmission_time_oracle,
 )

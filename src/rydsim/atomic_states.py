@@ -14,11 +14,11 @@ with the three coefficients calibrated per channel in a data file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ChannelError
 from .units import to_mhz
@@ -138,41 +138,30 @@ def channel_set(config: PairConfig) -> list:
     return kept
 
 
-def resonance_fields(
-    config: PairConfig, field_max: float, tol: float = 1e-6
-) -> list:
-    """All zero crossings of every channel defect in [0, field_max].
+def resonance_fields(config: PairConfig, field_max: float) -> list:
+    """Zero crossing of every kept channel's defect in [0, field_max].
 
-    Returns a sorted, deduplicated list of (field, channel_index) with
-    each root bracketed on a fine scan grid and polished by bisection to
-    better than `tol` V/cm.
+    The quadratic defect c - alpha * F^2, c = defect_zero_field +
+    zeeman_shift, vanishes at F = sqrt(c / alpha); a channel with c = 0
+    is resonant at zero field.  Returns a sorted list of
+    (field, index into config.channels).
     """
     if field_max <= 0:
         raise ValueError("field_max must be > 0")
-    roots = []
-    channels = channel_set(config)
     index_of = {id(ch): i for i, ch in enumerate(config.channels)}
-    scan = np.linspace(0.0, field_max, 2001)
-    for ch in channels:
-        vals = forster_defect(ch, scan)
-        if abs(vals[0]) < 1e-12 * max(1.0, abs(ch.defect_zero_field)):
-            roots.append((0.0, index_of[id(ch)]))
-        sign_change = np.where(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        for k in sign_change:
-            root = brentq(
-                lambda x: forster_defect(ch, x), scan[k], scan[k + 1], xtol=tol
-            )
-            roots.append((float(root), index_of[id(ch)]))
-        # a root landing exactly on a scan point gives a zero sign product
-        # and would escape the bracketing loop above
-        for k in np.where(vals[1:] == 0.0)[0]:
-            roots.append((float(scan[k + 1]), index_of[id(ch)]))
-    roots.sort()
-    deduped = []
-    for r in roots:
-        if not deduped or abs(r[0] - deduped[-1][0]) > 10 * tol or r[1] != deduped[-1][1]:
-            deduped.append(r)
-    return deduped
+    roots = []
+    for ch in channel_set(config):
+        c = ch.defect_zero_field + ch.zeeman_shift
+        alpha = ch.diff_polarizability
+        if c == 0.0:
+            root = 0.0
+        elif alpha != 0.0 and c / alpha > 0.0:
+            root = math.sqrt(c / alpha)
+        else:
+            continue
+        if root <= field_max:
+            roots.append((root, index_of[id(ch)]))
+    return sorted(roots)
 
 
 def defect_table(config: PairConfig, fields: Sequence[float]) -> np.ndarray:

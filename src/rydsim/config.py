@@ -12,13 +12,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .atomic_states import PairConfig, resonance_fields
+from .atomic_states import PairConfig, channel_set, resonance_fields
+from .detection import count_window
 from .ensemble import ExperimentGeometry, PhotonStats
 from .errors import ConfigError
 from .interaction import InteractionParams, effective_c6
@@ -29,6 +30,9 @@ from .units import C_LIGHT, from_mhz
 SCAN_TYPES = ("starkmap", "gain-scan", "fidelity-scan", "retrieval", "oracle-check")
 
 SCHEMA_VERSION = 1
+
+# Memory bound on the fidelity scan's per-sample Poisson count table.
+_MAX_COUNT_TABLE_BYTES = 2**30
 
 # Defaults follow the reference experiment:
 #   beam waist 6.2 um; cloud 1/e half-length 40 um, radius 10 um,
@@ -157,6 +161,17 @@ def _validate(values: dict) -> None:
     rates = np.asarray(values["rate_grid"], dtype=float)
     if not np.all(np.isfinite(rates) & (rates >= 0)):
         raise ConfigError("rate_grid entries must be finite and >= 0")
+    # fidelity_scan holds one float64 Poisson table of samples x (k_max + 1)
+    # counts; the transmitted intensity is at most 1, which bounds the mean
+    mu_max = (values["detector_efficiency"] * float(rates.max())
+              * values["pulse_length"])
+    table_bytes = values["samples"] * (count_window(mu_max) + 1.0) * 8.0
+    if not table_bytes <= _MAX_COUNT_TABLE_BYTES:  # also catches inf and NaN
+        raise ConfigError(
+            f"fidelity count table needs {table_bytes / 2**30:.3g} GiB, above "
+            f"the {_MAX_COUNT_TABLE_BYTES / 2**30:g} GiB limit; lower samples, "
+            "rate_grid, pulse_length or detector_efficiency"
+        )
     if not 0.0 <= values["retrieval_eta0"] <= 1.0:
         raise ConfigError("retrieval_eta0 must lie in [0, 1]")
     # the spin-wave grid needs two points for its gradient and its norm
@@ -282,8 +297,9 @@ def build_setup(config: RunConfig) -> SimulationSetup:
         cloud_half_length=geometry.cloud_half_length,
         profile="gaussian",
     )
-    channels = pair.channels
-    c3_main = max(ch.c3 for ch in channels)
+    # the channels resonance_fields sees, so V_ef and the Stark map agree
+    channels = tuple(channel_set(pair))
+    c3_main = max((ch.c3 for ch in channels), default=0.0)
     c6_ref = abs(effective_c6(0.0, 0.0, InteractionParams(
         c3=c3_main, c3_prime=0.0, gamma_p=0.0, channels=channels)))
     interaction = InteractionParams(

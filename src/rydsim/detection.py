@@ -1,20 +1,18 @@
 """Single-shot detection of a stored Rydberg excitation from source
 photon counts.
 
-Per shot the detected source counts are Poissonian; a gate pulse
-produces a mixture of shots with and without a stored excitation.  The
-histogram taken with gate pulses is separated into its two components
-using the known storage statistics, and a count threshold classifies
+Per shot the detected source counts are Poissonian with a mean set by
+the transmission of the sampled source path, with or without a stored
+excitation.  The count distributions of the two cases are exact Poisson
+mixtures over the geometry samples, and a count threshold classifies
 each shot.  The detection fidelity is the worst-case probability of a
 correct call, maximized over the threshold.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -32,83 +30,14 @@ from .interaction import InteractionParams
 from .propagation import PropagationParams
 
 
-@dataclass(frozen=True)
-class CountModel:
-    """Detected-count means with and without a stored excitation."""
-
-    mean_no_excitation: float
-    mean_with_excitation: float
-    p_excitation: float
-
-    def __post_init__(self):
-        if not (self.mean_no_excitation >= self.mean_with_excitation >= 0.0):
-            raise ValueError("need mu0 >= mu1 >= 0")
-        if not 0.0 <= self.p_excitation <= 1.0:
-            raise ValueError("p_excitation must lie in [0, 1]")
-
-
-def count_histograms(
-    model: CountModel, shots: int, seed: int = 0
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sampled count histograms (gate pulse, no gate pulse) of equal length."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    rng = np.random.default_rng(seed)
-    no_gate = rng.poisson(model.mean_no_excitation, size=shots)
-    present = rng.random(shots) < model.p_excitation
-    mus = np.where(present, model.mean_with_excitation, model.mean_no_excitation)
-    gate = rng.poisson(mus)
-    n_bins = int(max(gate.max(), no_gate.max())) + 1
-    return (
-        np.bincount(gate, minlength=n_bins).astype(float),
-        np.bincount(no_gate, minlength=n_bins).astype(float),
-    )
-
-
-def separate_histograms(
-    hist_gate_pulse: np.ndarray, p_excitation: float, mu0: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Split the gate-pulse histogram into excitation-present/absent parts.
-
-    The absent component is the known Poisson(mu0) shape scaled to the
-    expected no-excitation fraction; the present component is the bin-wise
-    remainder, clipped at zero and renormalized.
-    """
-    if not 0.0 < p_excitation < 1.0:
-        raise ValueError("p_excitation must lie strictly inside (0, 1)")
-    hist = np.asarray(hist_gate_pulse, dtype=float)
-    total = hist.sum()
-    absent = (1.0 - p_excitation) * total * _poisson_pmf_rows(
-        [mu0], hist.size - 1
-    )[0]
-    present = np.clip(hist - absent, 0.0, None)
-    expected = p_excitation * total
-    mass = present.sum()
-    # clipping can only add mass on top of the exact remainder p * total,
-    # so a large overshoot means the assumed absent component (mu0 or the
-    # excitation fraction) does not describe the data
-    if mass > 2.0 * expected:
-        warnings.warn(
-            f"separated component mass {mass:.3g} exceeds twice the expected "
-            f"{expected:.3g}; count model probably mismatched",
-            stacklevel=2,
-        )
-    if mass > 0:
-        present *= expected / mass
-    return present, absent
-
-
 def detection_fidelity(
-    hist_present: np.ndarray,
-    hist_absent: np.ndarray,
-    prior_present: Optional[float] = None,
+    hist_present: np.ndarray, hist_absent: np.ndarray
 ) -> Tuple[float, int]:
     """Best threshold and its fidelity.
 
-    Counts below the threshold are called "excitation present".  By
-    default the fidelity is the worst case over the two hypotheses,
-    max_tau min(P(count < tau | present), P(count >= tau | absent));
-    passing `prior_present` switches to the prior-weighted accuracy.
+    Counts below the threshold are called "excitation present".  The
+    fidelity is the worst case over the two hypotheses,
+    max_tau min(P(count < tau | present), P(count >= tau | absent)).
     Ties resolve to the smallest threshold.
     """
     p = np.asarray(hist_present, dtype=float)
@@ -121,21 +50,28 @@ def detection_fidelity(
     # cdf_p[t] = P(count < t | present) for thresholds t = 0..n
     cdf_p = np.concatenate([[0.0], np.cumsum(p)])
     tail_q = np.concatenate([[1.0], 1.0 - np.cumsum(q)])
-    if prior_present is None:
-        score = np.minimum(cdf_p, tail_q)
-    else:
-        score = prior_present * cdf_p + (1.0 - prior_present) * tail_q
+    score = np.minimum(cdf_p, tail_q)
     tau = int(np.argmax(score))
     return float(score[tau]), tau
 
 
-def _poisson_pmf_rows(mus, k_max: int) -> np.ndarray:
-    """Poisson(k; mu_s) for counts k = 0..k_max, one row per mean.
+def count_window(mu_max):
+    """Largest count k_max of the exact mixture window for means <= mu_max.
 
-    Exact log-space evaluation, exp(k log mu - gammaln(k + 1) - mu), in
-    one (len(mus), k_max + 1) buffer.  Column 0 is set to -mu before the
-    exponential, so mu = 0 gives the exact delta at k = 0 instead of the
-    0 * log 0 = NaN of the product.
+    Eight standard deviations above the largest mean, as a float, so an
+    infinite or NaN mean stays visible to the caller.
+    """
+    return np.ceil(mu_max + 8.0 * np.sqrt(mu_max + 1.0))
+
+
+def poisson_mixture_pmf(mus: np.ndarray, k_max: int) -> np.ndarray:
+    """PMF of a uniform mixture of Poisson distributions over counts 0..k_max.
+
+    Each component Poisson(k; mu_s) is evaluated exactly in log space,
+    exp(k log mu - gammaln(k + 1) - mu), in one (len(mus), k_max + 1)
+    buffer, then averaged over the rows.  Column 0 is set to -mu before
+    the exponential, so mu = 0 gives the exact delta at k = 0 instead of
+    the 0 * log 0 = NaN of the product.
     """
     mus = np.asarray(mus, dtype=float)
     k = np.arange(k_max + 1, dtype=float)
@@ -145,12 +81,7 @@ def _poisson_pmf_rows(mus, k_max: int) -> np.ndarray:
     buf -= gammaln(k + 1.0)
     buf -= mus[:, None]
     buf[:, :1] = -mus[:, None]
-    return np.exp(buf, out=buf)
-
-
-def poisson_mixture_pmf(mus: np.ndarray, k_max: int) -> np.ndarray:
-    """PMF of a uniform mixture of Poisson distributions over counts 0..k_max."""
-    return _poisson_pmf_rows(mus, k_max).mean(axis=0)
+    return np.exp(buf, out=buf).mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -171,7 +102,6 @@ def fidelity_scan(
     stats: PhotonStats,
     n_samples: int = 2000,
     seed: int = 0,
-    resolution_half_width: float = 2.0e-3,
 ) -> list:
     """Detection fidelity over a (field, rate) grid.
 
@@ -199,7 +129,7 @@ def fidelity_scan(
     for kr, rate in enumerate(rates):
         scale = eta * rate * stats.pulse_length
         mu0s = scale * i0
-        k_max = int(np.ceil(mu0s.max() + 8.0 * math.sqrt(mu0s.max() + 1.0)))
+        k_max = int(count_window(mu0s.max()))
         pmf_absent = poisson_mixture_pmf(mu0s, k_max)
         for kf, i1 in enumerate(table):
             pmf_present = poisson_mixture_pmf(scale * i1, k_max)
@@ -207,7 +137,7 @@ def fidelity_scan(
             fid_grid[kr, kf] = f
             thr_grid[kr, kf] = tau
     for kr, rate in enumerate(rates):
-        smooth = boxcar_convolve(fields, fid_grid[kr], resolution_half_width)
+        smooth = boxcar_convolve(fields, fid_grid[kr])
         for kf, field in enumerate(fields):
             results.append(
                 FidelityPoint(

@@ -14,15 +14,20 @@ at least one excitation was stored.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .atomic_states import PairConfig
 from .interaction import InteractionParams
 from .propagation import PropagationParams, eit_baseline, transmission_batch
+
+# Half-width (V/cm) of the boxcar modelling the experimental field resolution.
+_FIELD_RESOLUTION = 2.0e-3
+
+# Largest tolerated end-of-pulse transmission drop in the non-destructive regime.
+_DROP_LIMIT = 0.1
 
 
 @dataclass(frozen=True)
@@ -91,15 +96,6 @@ class GeometrySamples:
     density_scales: np.ndarray  # (n,) transverse density factor per line
 
 
-@dataclass(frozen=True)
-class TransmissionAverage:
-    t0: float
-    t1: float
-    t0_err: float
-    t1_err: float
-    n_samples: int
-
-
 def sample_geometry(
     geometry: ExperimentGeometry, n_samples: int, rng: np.random.Generator
 ) -> GeometrySamples:
@@ -145,36 +141,6 @@ def _intensities_baseline(
     return np.minimum(np.abs(np.exp(exponent)) ** 2, 1.0)
 
 
-def average_transmission(
-    geometry: ExperimentGeometry,
-    params: PropagationParams,
-    interaction: InteractionParams,
-    field: float,
-    n_samples: int = 2000,
-    rng: Optional[np.random.Generator] = None,
-    samples: Optional[GeometrySamples] = None,
-    target_stderr: Optional[float] = None,
-) -> TransmissionAverage:
-    """Mean transmission without (T0) and with (T1) one stored excitation."""
-    if samples is None:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        samples = sample_geometry(geometry, n_samples, rng)
-    n = samples.offsets.shape[0]
-    i0 = _intensities_baseline(samples, params)
-    i1 = _intensities_with_gate(samples, params, interaction, field)
-    t0, t1 = float(np.mean(i0)), float(np.mean(i1))
-    e0 = float(np.std(i0, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    e1 = float(np.std(i1, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    if target_stderr is not None and max(e0, e1) > target_stderr:
-        warnings.warn(
-            f"sample budget ({n}) reached with standard error "
-            f"{max(e0, e1):.3g} > target {target_stderr:.3g}; partial result",
-            stacklevel=2,
-        )
-    return TransmissionAverage(t0=t0, t1=t1, t0_err=e0, t1_err=e1, n_samples=n)
-
-
 def optical_gain(t0: float, t1: float, stats: PhotonStats) -> float:
     """Mean source photons removed per incident gate photon."""
     if t0 < t1:
@@ -186,7 +152,9 @@ def optical_gain(t0: float, t1: float, stats: PhotonStats) -> float:
 
 
 def boxcar_convolve(
-    fields: np.ndarray, values: np.ndarray, half_width: float = 2.0e-3
+    fields: np.ndarray,
+    values: np.ndarray,
+    half_width: float = _FIELD_RESOLUTION,
 ) -> np.ndarray:
     """Average `values` over a boxcar of +-half_width in field (edge-truncated)."""
     fields = np.asarray(fields, dtype=float)
@@ -216,7 +184,6 @@ def field_scan(
     stats: PhotonStats,
     n_samples: int = 2000,
     seed: int = 0,
-    resolution_half_width: float = 2.0e-3,
 ) -> list:
     """Gain versus electric field, convolved with the field-resolution boxcar.
 
@@ -244,7 +211,7 @@ def field_scan(
         gains[k] = optical_gain(t0, min(t1, t0), stats)
         diff_err = np.std(i0 - i1, ddof=1) / math.sqrt(n)
         errs[k] = optical_gain(t0, t0 - diff_err, stats) if diff_err < t0 else 0.0
-    smooth = boxcar_convolve(fields, gains, resolution_half_width)
+    smooth = boxcar_convolve(fields, gains)
     return [
         ScanPoint(float(f), float(g), float(e), t0, float(t1))
         for f, g, e, t1 in zip(fields, smooth, errs, t1s)
@@ -274,7 +241,6 @@ def nondestructive_limit(
     t0: float,
     t1: float,
     rate_ceiling: float = 200.0,
-    drop_limit: float = 0.1,
 ) -> float:
     """Largest source rate keeping the end-of-pulse transmission drop < 10%.
 
@@ -284,6 +250,6 @@ def nondestructive_limit(
     p = stats.dephasing_per_photon
     if p == 0.0 or t1 >= t0 or t0 >= 1.0:
         return rate_ceiling
-    n_max = math.log(1.0 - drop_limit) / math.log(t1 / t0)
+    n_max = math.log(1.0 - _DROP_LIMIT) / math.log(t1 / t0)
     rate = n_max / (p * stats.pulse_length * (1.0 - t0))
     return min(rate, rate_ceiling)

@@ -13,9 +13,5 @@ class ChannelError(SimulationError):
     """A pair channel violates dipole selection rules."""
 
 
-class GateSingularityError(SimulationError):
-    """Evaluation requested exactly at the gate excitation position."""
-
-
 class NumericsError(SimulationError):
     """A numerical routine failed to converge or lost probability."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic_states import PairChannel, forster_defect
+from .atomic_states import forster_defect
 
 
 @dataclass(frozen=True)
@@ -64,30 +64,16 @@ def dipole_hamiltonian(r: float, params: InteractionParams) -> np.ndarray:
 def effective_c6(omega: float, field: float, params: InteractionParams) -> complex:
     """Complex prefactor of V_ef: sum_alpha c3_alpha^2/(defect - omega - i*gamma_p).
 
-    V_ef(r) = effective_c6 / (r - r_gate)^6.  The imaginary part is
-    non-negative for gamma_p > 0 (dissipative convention: positive
-    imaginary susceptibility absorbs).
+    V_ef = effective_c6 / d^6 at gate-source distance d; the transport
+    solvers in `propagation` apply it with d clamped at R_MIN.  The
+    imaginary part is non-negative for gamma_p > 0 (dissipative
+    convention: positive imaginary susceptibility absorbs).
     """
     total = 0.0 + 0.0j
     for ch in params.channels:
         defect = forster_defect(ch, field)
         total += ch.coupling**2 / (defect - omega - 1j * params.gamma_p)
     return total
-
-
-def effective_potential(
-    r: float,
-    gate_pos: float,
-    omega: float,
-    field: float,
-    params: InteractionParams,
-) -> complex:
-    """V_ef at source position r for a gate at gate_pos (both um, 1D)."""
-    if r == gate_pos:
-        from .errors import GateSingularityError
-
-        raise GateSingularityError("V_ef diverges at the gate position")
-    return effective_c6(omega, field, params) / (r - gate_pos) ** 6
 
 
 def blockade_radius(c6: float, gamma: float, omega_rabi: float) -> float:

@@ -29,12 +29,15 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from .atomic_states import forster_defect
-from .errors import ConfigError, GateSingularityError, NumericsError
+from .errors import ConfigError, NumericsError
 from .interaction import InteractionParams, effective_c6
 from .units import C_LIGHT
 
 # Distance clamp regularizing the 1/(r - r_gate)^6 divergence (um).
 R_MIN = 0.5
+
+# Uniform points of the graded grid before the refinement around the gate.
+_GRID_BASE_POINTS = 161
 
 _SQRT_PI = np.sqrt(np.pi)
 
@@ -127,7 +130,6 @@ def chi_values(
     gate_z: float = 0.0,
     transverse_dist_sq: float = 0.0,
     density_scale: float = 1.0,
-    r_min: float = R_MIN,
 ):
     """Vectorized complex susceptibility chi(z) (rad/us * (um/us) / um)."""
     z = np.asarray(z, dtype=float)
@@ -135,7 +137,7 @@ def chi_values(
     eit = (params.omega + 1j * params.gamma_s) / params.omega_rabi**2
     chi = g_sq * eit
     if vef_prefactor != 0.0:
-        d_sq = np.maximum((z - gate_z) ** 2 + transverse_dist_sq, r_min**2)
+        d_sq = np.maximum((z - gate_z) ** 2 + transverse_dist_sq, R_MIN**2)
         vef = vef_prefactor / d_sq**3
         chi = chi + _blockade_chi(g_sq, vef, params)
     return chi
@@ -151,28 +153,6 @@ def _blockade_chi(g_sq, vef, params: PropagationParams, out=None, den=None):
     den += params.omega_rabi**2
     num = np.multiply(g_sq, vef, out=out)
     return np.divide(num, den, out=out)
-
-
-def susceptibility(
-    z: float,
-    gate_pos: Optional[float],
-    params: PropagationParams,
-    interaction: Optional[InteractionParams] = None,
-    field: float = 0.0,
-    transverse_dist_sq: float = 0.0,
-    density_scale: float = 1.0,
-) -> complex:
-    """chi at a single position; raises exactly on top of the gate."""
-    if gate_pos is not None and z == gate_pos and transverse_dist_sq == 0.0:
-        raise GateSingularityError("susceptibility evaluated at the gate position")
-    pref = 0.0 + 0.0j
-    gz = 0.0
-    if gate_pos is not None and interaction is not None:
-        pref = effective_c6(params.omega, field, interaction)
-        gz = gate_pos
-    return complex(
-        chi_values(z, params, pref, gz, transverse_dist_sq, density_scale)
-    )
 
 
 def eit_baseline(params: PropagationParams, density_scale: float = 1.0) -> TransmissionResult:
@@ -235,9 +215,9 @@ def transmission_freq(
     return TransmissionResult(amplitude=np.exp(1j * integral / params.c))
 
 
-def _graded_grid(z_extent: float, gate_z, n_base: int = 161):
+def _graded_grid(z_extent: float, gate_z):
     """Per-sample z grids: uniform base plus refinement around each gate."""
-    base = np.linspace(-z_extent, z_extent, n_base)
+    base = np.linspace(-z_extent, z_extent, _GRID_BASE_POINTS)
     offsets = np.concatenate(
         [
             -np.geomspace(0.05, 25.0, 36)[::-1],
@@ -248,7 +228,7 @@ def _graded_grid(z_extent: float, gate_z, n_base: int = 161):
     gate_z = np.atleast_1d(np.asarray(gate_z, dtype=float))
     grids = gate_z[:, None] + offsets[None, :]
     full = np.concatenate(
-        [np.broadcast_to(base, (gate_z.size, n_base)), grids], axis=1
+        [np.broadcast_to(base, (gate_z.size, base.size)), grids], axis=1
     )
     full = np.clip(full, -z_extent, z_extent)
     full.sort(axis=1)
@@ -262,7 +242,6 @@ def transmission_batch(
     interaction: Optional[InteractionParams] = None,
     field: float | np.ndarray = 0.0,
     density_scale=1.0,
-    r_min: float = R_MIN,
 ) -> np.ndarray:
     """Vectorized transmitted amplitudes for many (offset, gate) samples.
 
@@ -309,7 +288,7 @@ def transmission_batch(
     z -= gate_z[:, None]
     np.square(z, out=z)
     z += t_dist_sq[:, None]
-    np.maximum(z, r_min**2, out=z)
+    np.maximum(z, R_MIN**2, out=z)
     z **= 3
     inv_d6 = np.reciprocal(z, out=z)
 
@@ -331,9 +310,7 @@ def transmission_time_oracle(
     gate_z: Optional[float] = None,
     dz: Optional[float] = None,
     duration: Optional[float] = None,
-    r_min: float = R_MIN,
-    return_details: bool = False,
-):
+) -> TransmissionResult:
     """Steady-state transmission from the time-domain coupled amplitudes.
 
     Integrates the four coupled fields (photon, P, S, and one gate-source
@@ -375,7 +352,7 @@ def transmission_time_oracle(
         a[1, 1] = -params.gamma_s
         for k, ch in enumerate(channels):
             sep = z[i] - gate_z
-            sep = np.sign(sep) * max(abs(sep), r_min) if sep != 0 else r_min
+            sep = np.sign(sep) * max(abs(sep), R_MIN) if sep != 0 else R_MIN
             v = ch.coupling / sep**3
             a[1, 2 + k] = -1j * v
             a[2 + k, 1] = -1j * v
@@ -427,7 +404,4 @@ def transmission_time_oracle(
                 "increase the duration",
                 stacklevel=2,
             )
-    result = TransmissionResult(amplitude=complex(amp))
-    if return_details:
-        return result, {"n_z": n_z, "n_t": n_t, "dz": dz, "dt": dt}
-    return result
+    return TransmissionResult(amplitude=complex(amp))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from .ensemble import ExperimentGeometry, sample_geometry
 from .errors import NumericsError
 from .interaction import InteractionParams, effective_c6
 from .propagation import PropagationParams, chi_values, transmission_batch
+
+# Half-span of the stored spin-wave grid in units of the cloud half-length.
+_SPAN_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -39,10 +42,6 @@ class SpinWaveState:
         if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
             raise ValueError("density matrix must be Hermitian")
         object.__setattr__(self, "rho", rho)
-
-    @property
-    def purity(self) -> float:
-        return float(np.trace(self.rho @ self.rho).real)
 
 
 @dataclass(frozen=True)
@@ -80,11 +79,10 @@ def _scatter_overlap(scatter: np.ndarray) -> np.ndarray:
 def stored_spinwave(
     geometry: ExperimentGeometry,
     n_points: int = 201,
-    span_factor: float = 2.0,
     intrinsic_lifetime: float = 3.6,
 ) -> SpinWaveState:
     """Pure stored state with |psi(z)|^2 proportional to the density."""
-    half = span_factor * geometry.cloud_half_length
+    half = _SPAN_FACTOR * geometry.cloud_half_length
     grid = np.linspace(-half, half, n_points)
     amp = np.exp(-(grid**2) / (2.0 * geometry.cloud_half_length**2))
     amp = amp / np.linalg.norm(amp)
@@ -201,22 +199,20 @@ def retrieval_efficiency_curve(
     source_means: Sequence[float],
     eta0: float,
     storage_time: float = 4.2,
-    weights: Optional[np.ndarray] = None,
 ) -> list:
     """Retrieval efficiency versus mean source photon number.
 
     The photon number per shot is Poissonian; each photon applies the
     per-photon channel once.  `channels` is a sequence of groups (or bare
     channels), one group per stored-gate transverse offset, averaged with
-    `weights`.  Readout projects back on the initial stored mode and the
+    equal weights.  Readout projects back on the initial stored mode and the
     intrinsic coherence decay exp(-t_store/tau) factorizes out.
     """
     source_means = np.asarray(source_means, dtype=float)
     groups = [
         list(g) if isinstance(g, (list, tuple)) else [g] for g in channels
     ]
-    if weights is None:
-        weights = np.full(len(groups), 1.0 / len(groups))
+    weight = 1.0 / len(groups)
     eta_base = eta0 * math.exp(-storage_time / state.intrinsic_lifetime)
     p_diag = np.real(np.diag(state.rho))
     psi = np.sqrt(p_diag)  # stored mode amplitudes (real by construction)
@@ -253,8 +249,8 @@ def retrieval_efficiency_curve(
         eff = 0.0
         n_scat = 0.0
         for ic in range(len(groups)):
-            eff += weights[ic] * overlap[ic, im]
-            n_scat += weights[ic] * mean * p_scatter[ic]
+            eff += weight * overlap[ic, im]
+            n_scat += weight * mean * p_scatter[ic]
         rows.append(
             RetrievalPoint(
                 n_in_mean=float(mean),

@@ -1,5 +1,7 @@
 """Pair-state defects, resonance fields and channel selection rules."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,33 @@ class TestResonanceFields:
         roots = resonance_fields(pair, 0.3)
         fields = [r[0] for r in roots]
         assert fields == pytest.approx([0.080, 0.125, 0.170, 0.215], abs=1e-3)
+
+    def test_root_at_zero_field(self):
+        # c = defect_zero_field + zeeman_shift = 0: resonant at zero field
+        pair = _pair([_channel(3.0, 4.0, zeeman_mhz=-3.0)])
+        assert resonance_fields(pair, 2.0) == [(0.0, 0)]
+
+    def test_root_at_field_max_is_kept(self):
+        ch = _channel(9.0, 4.0)
+        root = math.sqrt(ch.defect_zero_field / ch.diff_polarizability)
+        assert resonance_fields(_pair([ch]), root) == [(root, 0)]
+        assert resonance_fields(_pair([ch]), np.nextafter(root, 0.0)) == []
+
+    def test_zero_polarizability_without_zero_defect_has_no_root(self):
+        pair = _pair([_channel(5.0, 0.0)])
+        assert resonance_fields(pair, 2.0) == []
+
+    def test_preset_66s64s_roots_do_not_depend_on_field_max(self):
+        pair, _ = load_pair_system("rb87_66s64s")
+        near = resonance_fields(pair, 0.3)
+        far = resonance_fields(pair, 2.0)
+        assert len(near) == 4
+        assert near == far
+        for field, i in near:
+            ch = pair.channels[i]
+            assert field == math.sqrt(
+                (ch.defect_zero_field + ch.zeeman_shift) / ch.diff_polarizability
+            )
 
 
 class TestChannelSelection:

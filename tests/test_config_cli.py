@@ -1,14 +1,21 @@
 """Configuration parsing, presets and the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import rydsim
 from rydsim import detection
 from rydsim.cli import main
 from rydsim.config import SCAN_TYPES, build_setup, load_config
+from rydsim.ensemble import field_scan
 from rydsim.errors import ChannelError, ConfigError
 from rydsim.presets import load_pair_system, parse_channel_file, parse_level
 
@@ -115,6 +122,32 @@ class TestPresets:
         pair2, _ = load_pair_system(str(path))
         assert pair2.channels == pair.channels
 
+    def test_forbidden_channel_leaves_interaction_unchanged(self, tmp_path):
+        # at theta = 0 the selection rules drop a channel whose source
+        # state changes m_j by +1, so it must not enter V_ef either
+        preset = (resources.files("rydsim.data") / "rb87_50s48s.channels"
+                  ).read_text(encoding="utf-8")
+        path = tmp_path / "forbidden.channels"
+        path.write_text(preset + (
+            "\n[channel]\n"
+            "gate = 49P1/2 +1/2\n"
+            "source = 48P3/2 +3/2\n"
+            "defect_zero_field_mhz = 10.0\n"
+            "diff_polarizability_mhz = 19.8374\n"
+            "c3_mhz_um3 = 100.0\n"
+        ))
+
+        def scan(pair_system):
+            setup = build_setup(load_config(
+                None, "gain-scan", {"pair_system": pair_system}))
+            assert len(setup.interaction.channels) == 1
+            return field_scan(
+                setup.pair, setup.geometry, setup.params, setup.interaction,
+                [0.70, 0.71], setup.stats, n_samples=200, seed=4,
+            )
+
+        assert scan(str(path)) == scan("rb87_50s48s")
+
 
 class TestCli:
     def test_all_scan_subcommands_registered(self):
@@ -179,6 +212,8 @@ class TestCli:
              "field_grid entries must be finite"),
             ("gain-scan", ["--set", "field_grid=-inf,0.70"],
              "field_grid entries must be finite"),
+            ("fidelity-scan", ["--set", "rate_grid=1e9"],
+             "above the 1 GiB limit"),
         ],
     )
     def test_bad_scan_input_exits_with_config_code(self, tmp_path, scan, args,
@@ -208,6 +243,17 @@ class TestCli:
         text = (tmp_path / "summary.json").read_text(encoding="utf-8")
         summary = json.loads(text, parse_constant=reject)
         assert summary["headline"]["retrieval_at_one_scattered"] is None
+
+    def test_cli_import_skips_scipy_stats(self):
+        # importing scipy.stats costs about 0.5 s of every sim start-up
+        code = ("import sys, rydsim.cli; "
+                "print('scipy.stats' in sys.modules)")
+        src = str(Path(rydsim.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        assert result.stdout.strip() == "False"
 
     def test_non_finite_fidelity_exits_with_numerics_code(self, tmp_path,
                                                           monkeypatch):

@@ -1,4 +1,4 @@
-"""Count histograms, component separation and readout fidelity."""
+"""Poisson count mixtures, the fidelity scan and readout fidelity."""
 
 import math
 import warnings
@@ -9,13 +9,7 @@ import scipy.stats as sps
 
 from rydsim import detection
 from rydsim.config import build_setup, load_config
-from rydsim.detection import (
-    CountModel,
-    count_histograms,
-    detection_fidelity,
-    poisson_mixture_pmf,
-    separate_histograms,
-)
+from rydsim.detection import detection_fidelity, poisson_mixture_pmf
 
 
 def _poisson_hist(mu, k_max=80):
@@ -97,78 +91,17 @@ class TestDetectionFidelity:
 
     def test_two_poisson_exact_vs_sampled(self):
         # excitation present suppresses the transmitted count
-        mu1, mu0, p_exc = 5.0, 20.0, 0.45
+        mu1, mu0 = 5.0, 20.0
         exact, _ = detection_fidelity(_poisson_hist(mu1), _poisson_hist(mu0))
-        model = CountModel(mean_no_excitation=mu0, mean_with_excitation=mu1,
-                           p_excitation=p_exc)
+        rng = np.random.default_rng(1)
         shots = 40000
-        gate, _no_gate = count_histograms(model, shots, seed=1)
-        present, absent = separate_histograms(gate, p_exc, mu0)
+        present = np.bincount(rng.poisson(mu1, size=shots)).astype(float)
+        absent = np.bincount(rng.poisson(mu0, size=shots)).astype(float)
         sampled, _ = detection_fidelity(present, absent)
         # binomial sampling error on the fidelity estimate
-        sigma = 3.0 * np.sqrt(exact * (1 - exact) / (p_exc * shots))
+        sigma = 3.0 * np.sqrt(exact * (1 - exact) / shots)
         assert abs(sampled - exact) < max(sigma, 0.01)
-
-    def test_prior_weighted_not_below_worst_case(self):
-        p, q = _poisson_hist(5.0), _poisson_hist(20.0)
-        worst, _ = detection_fidelity(p, q)
-        weighted, _ = detection_fidelity(p, q, prior_present=0.5)
-        assert weighted >= worst - 1e-12
 
     def test_empty_histogram_rejected(self):
         with pytest.raises(ValueError):
             detection_fidelity(np.zeros(4), _poisson_hist(5.0))
-
-
-class TestSeparation:
-    def test_roundtrip_recovers_component_mean(self):
-        model = CountModel(mean_no_excitation=20.0, mean_with_excitation=5.0,
-                           p_excitation=0.4)
-        gate, _ = count_histograms(model, 60000, seed=3)
-        present, absent = separate_histograms(gate, 0.4, 20.0)
-        k = np.arange(present.size)
-        mean_present = (k @ present) / present.sum()
-        # clipping against the absent tail biases the recovered mean upward
-        # by a few percent at this overlap
-        assert mean_present == pytest.approx(5.0, rel=0.05)
-        # truncation at the largest observed count clips a little pmf tail
-        assert absent.sum() == pytest.approx(0.6 * gate.sum(), rel=1e-4)
-
-    def test_mismatched_model_warns(self):
-        # data is pure Poisson(20) but the claimed absent component sits at
-        # mu0 = 5, so nearly all counts end up in the present remainder
-        gate = _poisson_hist(20.0) * 10000
-        with pytest.warns(UserWarning, match="mass"):
-            separate_histograms(gate, 0.05, 5.0)
-
-    def test_absent_component_matches_scipy_reference(self):
-        gate = (0.3 * _poisson_hist(5.0, 60) + 0.7 * _poisson_hist(20.0, 60)) * 5000
-        _, absent = separate_histograms(gate, 0.3, 20.0)
-        ref = 0.7 * gate.sum() * sps.poisson.pmf(np.arange(61), 20.0)
-        assert np.max(np.abs(absent - ref)) <= 1e-14 * ref.max()
-
-    def test_p_excitation_bounds(self):
-        with pytest.raises(ValueError):
-            separate_histograms(_poisson_hist(5.0), 0.0, 5.0)
-
-
-class TestCountHistograms:
-    def test_shapes_and_totals(self):
-        model = CountModel(mean_no_excitation=12.0, mean_with_excitation=4.0,
-                           p_excitation=0.3)
-        gate, no_gate = count_histograms(model, 5000, seed=0)
-        assert gate.size == no_gate.size
-        assert gate.sum() == 5000
-        assert no_gate.sum() == 5000
-
-    def test_deterministic_for_fixed_seed(self):
-        model = CountModel(mean_no_excitation=12.0, mean_with_excitation=4.0,
-                           p_excitation=0.3)
-        a = count_histograms(model, 1000, seed=9)
-        b = count_histograms(model, 1000, seed=9)
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-    def test_rejects_zero_shots(self):
-        model = CountModel(12.0, 4.0, 0.3)
-        with pytest.raises(ValueError):
-            count_histograms(model, 0)

@@ -9,7 +9,6 @@ from rydsim.ensemble import (
     ExperimentGeometry,
     PhotonStats,
     _intensities_with_gate,
-    average_transmission,
     boxcar_convolve,
     field_scan,
     local_maxima,
@@ -63,34 +62,23 @@ class TestGeometryAveraging:
         assert np.all(samples.density_scales > 0.0)
 
     def test_t0_not_below_t1_on_resonance(self, setup):
-        avg = average_transmission(
-            setup.geometry, setup.params, setup.interaction,
-            setup.resonance_field, n_samples=400,
-            rng=np.random.default_rng(3),
+        (point,) = field_scan(
+            setup.pair, setup.geometry, setup.params, setup.interaction,
+            [setup.resonance_field], setup.stats, n_samples=400, seed=3,
         )
-        assert avg.t0 >= avg.t1
-        assert 0.0 < avg.t1 < avg.t0 <= 1.0
+        assert 0.0 < point.t1 < point.t0 <= 1.0
 
     def test_monte_carlo_error_scales_as_inverse_sqrt(self, setup):
-        kwargs = dict(field=setup.resonance_field)
-        small = average_transmission(
-            setup.geometry, setup.params, setup.interaction,
-            n_samples=400, rng=np.random.default_rng(11), **kwargs,
-        )
-        large = average_transmission(
-            setup.geometry, setup.params, setup.interaction,
-            n_samples=1600, rng=np.random.default_rng(11), **kwargs,
-        )
-        ratio = small.t1_err / large.t1_err
-        assert 1.6 < ratio < 2.4
-
-    def test_sample_budget_warning(self, setup):
-        with pytest.warns(UserWarning, match="sample budget"):
-            average_transmission(
-                setup.geometry, setup.params, setup.interaction,
-                setup.resonance_field, n_samples=50,
-                rng=np.random.default_rng(5), target_stderr=1e-9,
+        def gain_err(n_samples):
+            (point,) = field_scan(
+                setup.pair, setup.geometry, setup.params, setup.interaction,
+                [setup.resonance_field], setup.stats, n_samples=n_samples,
+                seed=11,
             )
+            return point.gain_err
+
+        ratio = gain_err(400) / gain_err(1600)
+        assert 1.6 < ratio < 2.4
 
 
 class TestFieldScan:

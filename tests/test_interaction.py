@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from rydsim.atomic_states import PairChannel, RydbergLevel
-from rydsim.errors import GateSingularityError
 from rydsim.interaction import (
     InteractionParams,
     blockade_radius,
     dipole_hamiltonian,
     effective_c6,
-    effective_potential,
     hopping_suppression,
 )
+from rydsim.propagation import R_MIN, PropagationParams, chi_values
 from rydsim.units import from_mhz
 
 
@@ -88,20 +87,23 @@ class TestEffectivePotential:
             assert effective_c6(omega, field, params).imag >= 0.0
 
     def test_r_minus_six_shape(self):
+        # V_ef as the transport solvers apply it, recovered from the
+        # blockade term chi = g^2 V / (Omega^2 - i gamma V) of chi_values;
+        # with g = Omega = gamma = 1 and no EIT term, V = chi / (1 + i chi)
         ch = _channel(10.0, 1.0, c3=100.0)
         params = InteractionParams(
             c3=100.0, c3_prime=2.0, gamma_p=from_mhz(0.15), channels=[ch]
         )
-        v2 = effective_potential(2.0, 0.0, 0.0, 0.0, params)
-        v4 = effective_potential(4.0, 0.0, 0.0, 0.0, params)
+        prop = PropagationParams(g=1.0, omega_rabi=1.0, gamma=1.0,
+                                 cloud_half_length=10.0, profile="uniform")
+        pref = effective_c6(0.0, 0.0, params)
+        chi = chi_values(np.array([2.0, 4.0, -2.0, 0.0]), prop, pref, 0.0)
+        v2, v4, v_minus2, v_gate = chi / (1.0 + 1j * chi)
         assert v2 / v4 == pytest.approx(2.0**6, rel=1e-12)
         # symmetric around the gate
-        assert effective_potential(-2.0, 0.0, 0.0, 0.0, params) == pytest.approx(v2)
-
-    def test_gate_singularity_raises(self):
-        params = InteractionParams(c3=100.0, c3_prime=2.0, gamma_p=1.0)
-        with pytest.raises(GateSingularityError):
-            effective_potential(3.0, 3.0, 0.0, 0.0, params)
+        assert v_minus2 == pytest.approx(v2, rel=1e-12)
+        # finite on top of the gate: the distance is clamped at R_MIN
+        assert v_gate == pytest.approx(pref / R_MIN**6, rel=1e-12)
 
 
 class TestScales:
