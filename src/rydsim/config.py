@@ -128,6 +128,10 @@ def _validate(values: dict) -> None:
     unknown = set(values) - set(_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    # NaN passes every < and <= check below, and inf passes the >= 0 ones
+    for name in sorted(set(_DEFAULTS) - _STRING_KEYS - _INT_KEYS - _LIST_KEYS):
+        if not math.isfinite(values[name]):
+            raise ConfigError(f"{name} must be finite, got {values[name]}")
     for name in ("storage_efficiency", "detector_efficiency"):
         v = values[name]
         if not 0.0 <= v <= 1.0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from importlib import resources
 from pathlib import Path
@@ -55,6 +56,10 @@ _GLOBAL_KEYS = {
     "name", "theta", "b_field", "gate_s", "source_s",
     "c3_prime_mhz_um3", "gamma_p_mhz",
 }
+# numeric global keys and their defaults
+_GLOBAL_NUMBERS = {
+    "theta": 0.0, "b_field": 1.0, "c3_prime_mhz_um3": 0.0, "gamma_p_mhz": 0.3,
+}
 _CHANNEL_KEYS = {
     "gate", "source", "defect_zero_field_mhz", "diff_polarizability_mhz",
     "zeeman_shift_mhz", "c3_mhz_um3", "weight",
@@ -99,16 +104,29 @@ def parse_channel_file(text: str, source: str = "<string>"):
         except ValueError as exc:
             raise ConfigError(f"{source}: channel {i}: {exc}") from exc
 
+    numbers = {}
+    for key, default in _GLOBAL_NUMBERS.items():
+        raw = globals_kv.get(key, default)
+        try:
+            numbers[key] = float(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{source}: bad value for {key!r}: {raw!r}") from exc
+        if not math.isfinite(numbers[key]):
+            raise ConfigError(f"{source}: {key} must be finite, got {raw!r}")
+    for key in ("c3_prime_mhz_um3", "gamma_p_mhz"):
+        if numbers[key] < 0:
+            raise ConfigError(f"{source}: {key} must be >= 0, got {numbers[key]}")
+
     config = PairConfig(
         s_pair=(parse_level(globals_kv["gate_s"]), parse_level(globals_kv["source_s"])),
         channels=tuple(channels),
-        theta=float(globals_kv.get("theta", 0.0)),
-        b_field=float(globals_kv.get("b_field", 1.0)),
+        theta=numbers["theta"],
+        b_field=numbers["b_field"],
         name=globals_kv.get("name", ""),
     )
     extras = {
-        "c3_prime": from_mhz(float(globals_kv.get("c3_prime_mhz_um3", 0.0))),
-        "gamma_p": from_mhz(float(globals_kv.get("gamma_p_mhz", 0.3))),
+        "c3_prime": from_mhz(numbers["c3_prime_mhz_um3"]),
+        "gamma_p": from_mhz(numbers["gamma_p_mhz"]),
     }
     return config, extras
 

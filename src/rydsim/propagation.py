@@ -102,13 +102,6 @@ class TransmissionResult:
     def intensity(self) -> float:
         return min(abs(self.amplitude) ** 2, 1.0)
 
-    @property
-    def scatter_probability(self) -> float:
-        return 1.0 - self.intensity
-
-    @property
-    def phase(self) -> float:
-        return float(np.angle(self.amplitude))
 
 
 def _check_validity(params: PropagationParams, gamma_p: float = 0.0) -> None:
@@ -237,15 +230,16 @@ def _graded_grid(z_extent: float, gate_z):
 
 def transmission_batch(
     offsets: np.ndarray,
-    gate_positions: Optional[np.ndarray],
+    gate_positions: np.ndarray,
     params: PropagationParams,
-    interaction: Optional[InteractionParams] = None,
+    interaction: InteractionParams,
     field: float | np.ndarray = 0.0,
     density_scale=1.0,
 ) -> np.ndarray:
     """Vectorized transmitted amplitudes for many (offset, gate) samples.
 
-    `offsets` has shape (n, 2); `gate_positions` shape (n, 3) or None.
+    `offsets` has shape (n, 2) and `gate_positions` shape (n, 3); the
+    gate-free transmission is the closed form `eit_baseline`.
     `density_scale` may be scalar or per-sample.  `field` is a scalar,
     giving amplitudes of shape (n,), or a 1-D field grid, giving shape
     (n_fields, n).  Uses a fixed graded trapezoid grid refined around each
@@ -262,13 +256,6 @@ def transmission_batch(
     fields = np.asarray(field, dtype=float)
     if fields.ndim > 1:
         raise ValueError("field must be a scalar or a 1-D field grid")
-    if gate_positions is None or interaction is None:
-        z = np.linspace(-params.z_extent, params.z_extent, 801)
-        chi = chi_values(z, params)  # density scale applied below
-        integral = np.trapezoid(chi, z)
-        amps = np.exp(1j * scale * integral / params.c)
-        return np.tile(amps, (fields.size, 1)) if fields.ndim else amps
-
     gate_positions = np.asarray(gate_positions, dtype=float)
     gate_z = gate_positions[:, 2]
     z = _graded_grid(params.z_extent, gate_z)
@@ -378,12 +365,7 @@ def transmission_time_oracle(
     for step_i in range(n_t):
         t = step_i * dt
         # atomic amplitudes driven by the current photon field
-        x_new = np.empty_like(x)
-        for r in range(m):
-            acc = drive[r] * e_fld
-            for ccol in range(m):
-                acc = acc + props[r, ccol] * x[ccol]
-            x_new[r] = acc
+        x_new = np.einsum("rcz,cz->rz", props, x) + drive * e_fld
         # photon field advected one cell per step (dt = dz/c exactly)
         src = -1j * g_local * x[0]
         e_fld[1:] = e_fld[:-1] + 0.5 * dt * (src[1:] + src[:-1])

@@ -146,30 +146,26 @@ def run_retrieval(setup: SimulationSetup, out_dir: Path) -> dict:
     means = np.asarray(cfg.source_means, dtype=float)
     eta_base = cfg.retrieval_eta0 * math.exp(-cfg.storage_time / cfg.intrinsic_lifetime)
     all_rows = []
-    per_variant = {}
     for variant, fld in (("model", field), ("model_zero_field", 0.0)):
-        channels = spinwave.transverse_channels(
+        decoherence, p_scatter = spinwave.transverse_channels(
             state, setup.geometry, params, setup.interaction, fld,
             n_offsets=cfg.retrieval_offsets, seed=cfg.seed,
         )
         rows = spinwave.retrieval_efficiency_curve(
-            state, channels, means, cfg.retrieval_eta0, cfg.storage_time,
+            state, decoherence, p_scatter, means, cfg.retrieval_eta0,
+            cfg.storage_time,
         )
-        per_variant[variant] = rows
+        if variant == "model":
+            model_rows, model_p_scatter = rows, float(p_scatter.mean())
         for r in rows:
             all_rows.append([r.n_in_mean, r.n_scattered_mean, r.efficiency,
                              variant])
-    model_rows = per_variant["model"]
-    p_scatter = (
-        model_rows[-1].n_scattered_mean / model_rows[-1].n_in_mean
-        if model_rows[-1].n_in_mean > 0 else 0.0
-    )
     r_b = blockade_radius(
         max(abs(setup.interaction.c6_reference), 1e-12),
         setup.params.gamma, setup.params.omega_rabi,
     )
     frac = spinwave.blockade_beam_fraction(r_b, setup.geometry.beam_waist)
-    for r in spinwave.limit_curves(means, p_scatter, eta_base, frac):
+    for r in spinwave.limit_curves(means, model_p_scatter, eta_base, frac):
         all_rows.append([r.n_in_mean, r.n_scattered_mean, r.efficiency,
                          r.model_variant])
     _write_csv(out_dir / "retrieval.csv",

@@ -21,7 +21,12 @@ import numpy as np
 from .ensemble import ExperimentGeometry, sample_geometry
 from .errors import NumericsError
 from .interaction import InteractionParams, effective_c6
-from .propagation import PropagationParams, chi_values, transmission_batch
+from .propagation import (
+    PropagationParams,
+    chi_values,
+    eit_baseline,
+    transmission_batch,
+)
 
 # Half-span of the stored spin-wave grid in units of the cloud half-length.
 _SPAN_FACTOR = 2.0
@@ -56,7 +61,6 @@ class PhotonChannel:
     grid: np.ndarray
     transmit: np.ndarray
     scatter: np.ndarray
-    baseline_intensity: float = 1.0
 
     def __post_init__(self):
         total = np.abs(self.transmit) ** 2 + np.sum(np.abs(self.scatter) ** 2, axis=0)
@@ -135,13 +139,7 @@ def photon_channel(
     # cumulative propagation phase up to each scattering point
     phase = np.cumsum(chi.real * dz[None, :], axis=1) / params.c
     scatter = (np.sqrt(lost[:, None] * weights) * np.exp(1j * phase)).T
-    t_bg = transmission_batch(
-        offsets[:1], None, params, density_scale=density_scale
-    )[0]
-    baseline = min(float(np.abs(t_bg) ** 2), 1.0)
-    return PhotonChannel(
-        grid=grid, transmit=t, scatter=scatter, baseline_intensity=baseline
-    )
+    return PhotonChannel(grid=grid, transmit=t, scatter=scatter)
 
 
 def apply_channel(
@@ -195,7 +193,8 @@ class RetrievalPoint:
 
 def retrieval_efficiency_curve(
     state: SpinWaveState,
-    channels: Sequence[PhotonChannel],
+    decoherence: np.ndarray,
+    p_scatter: np.ndarray,
     source_means: Sequence[float],
     eta0: float,
     storage_time: float = 4.2,
@@ -203,63 +202,31 @@ def retrieval_efficiency_curve(
     """Retrieval efficiency versus mean source photon number.
 
     The photon number per shot is Poissonian; each photon applies the
-    per-photon channel once.  `channels` is a sequence of groups (or bare
-    channels), one group per stored-gate transverse offset, averaged with
-    equal weights.  Readout projects back on the initial stored mode and the
-    intrinsic coherence decay exp(-t_store/tau) factorizes out.
+    per-photon channel once.  `decoherence[i]` is the per-photon matrix D
+    of stored-gate offset i and `p_scatter[i]` its gate-caused scatter
+    probability (see `transverse_channels`); offsets are averaged with
+    equal weights.  Readout projects back on the initial stored mode and
+    the intrinsic coherence decay exp(-t_store/tau) factorizes out.
     """
     source_means = np.asarray(source_means, dtype=float)
-    groups = [
-        list(g) if isinstance(g, (list, tuple)) else [g] for g in channels
-    ]
-    weight = 1.0 / len(groups)
     eta_base = eta0 * math.exp(-storage_time / state.intrinsic_lifetime)
-    p_diag = np.real(np.diag(state.rho))
-    psi = np.sqrt(p_diag)  # stored mode amplitudes (real by construction)
+    psi = np.sqrt(np.real(np.diag(state.rho)))  # real by construction
     w = psi[:, None] * state.rho * psi[None, :]
 
-    # Each group shares one stored-gate transverse offset; within a group
-    # every source photon independently samples its transverse path, so the
-    # per-photon channel is the source-averaged mixture.  k photons apply
-    # D elementwise k times, and the Poisson average over k is exact:
-    # sum_k Poisson(k; mu) D^k = exp(mu (D - 1)).
-    overlap = np.empty((len(groups), source_means.size))
-    p_scatter = np.empty(len(groups))
-    for ic, group in enumerate(groups):
-        d_less_one = (
-            np.mean([ch.decoherence_matrix for ch in group], axis=0) - 1.0
-        )
-        # count only the scattering the gate causes: photons lost to the
-        # gate-independent background carry no which-path information
-        excess = [
-            max(
-                1.0
-                - float(p_diag @ (np.abs(ch.transmit) ** 2))
-                - (1.0 - ch.baseline_intensity),
-                0.0,
-            )
-            for ch in group
-        ]
-        p_scatter[ic] = float(np.mean(excess))
+    # k photons apply D elementwise k times, and the Poisson average over
+    # k is exact: sum_k Poisson(k; mu) D^k = exp(mu (D - 1)).
+    overlap = np.empty((len(decoherence), source_means.size))
+    for ic, d in enumerate(decoherence):
+        d_less_one = d - 1.0
         for im, mean in enumerate(source_means):
             overlap[ic, im] = float(np.sum(w * np.exp(mean * d_less_one)).real)
-
-    rows = []
-    for im, mean in enumerate(source_means):
-        eff = 0.0
-        n_scat = 0.0
-        for ic in range(len(groups)):
-            eff += weight * overlap[ic, im]
-            n_scat += weight * mean * p_scatter[ic]
-        rows.append(
-            RetrievalPoint(
-                n_in_mean=float(mean),
-                n_scattered_mean=float(n_scat),
-                efficiency=float(eta_base * eff),
-                model_variant="model",
-            )
-        )
-    return rows
+    weight = 1.0 / len(decoherence)
+    efficiency = eta_base * np.sum(weight * overlap, axis=0)
+    n_scattered = np.sum(weight * source_means * p_scatter[:, None], axis=0)
+    return [
+        RetrievalPoint(float(mean), float(n_s), float(eff), "model")
+        for mean, n_s, eff in zip(source_means, n_scattered, efficiency)
+    ]
 
 
 def transverse_channels(
@@ -270,19 +237,30 @@ def transverse_channels(
     field: float,
     n_offsets: int = 12,
     seed: int = 0,
-) -> list:
-    """Channel groups over a deterministic set of transverse offsets.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-photon decoherence and scatter probability per gate offset.
 
     One group per sampled gate offset; within a group, one channel per
-    sampled source path (source photons draw their transverse position
-    independently, so a group is averaged per photon downstream).
+    sampled source path.  Source photons draw their transverse position
+    independently, so a group's per-photon channel is the mean over its
+    paths.  Returns `decoherence` of shape (n_offsets, n, n), the mean
+    `decoherence_matrix` of each group, and `p_scatter` of shape
+    (n_offsets,), each group's mean scatter probability in excess of the
+    gate-free loss: photons lost to the gate-independent background carry
+    no which-path information.  Each channel is added in and dropped as
+    it is built, so one channel is held at a time.
     """
     rng = np.random.default_rng(seed)
     samples = sample_geometry(geometry, n_offsets, rng)
-    groups = []
+    p_diag = np.real(np.diag(state.rho))
+    n = state.grid.size
+    decoherence = np.zeros((n_offsets, n, n), dtype=complex)
+    excess = np.empty((n_offsets, n_offsets))
+    baseline = [eit_baseline(params, float(s)).intensity
+                for s in samples.density_scales]
     for i in range(n_offsets):
-        group = [
-            photon_channel(
+        for j in range(n_offsets):
+            ch = photon_channel(
                 state.grid,
                 params,
                 interaction,
@@ -291,10 +269,12 @@ def transverse_channels(
                 source_offset=(samples.offsets[j, 0], samples.offsets[j, 1]),
                 density_scale=float(samples.density_scales[j]),
             )
-            for j in range(n_offsets)
-        ]
-        groups.append(group)
-    return groups
+            decoherence[i] += ch.decoherence_matrix
+            lost = 1.0 - float(p_diag @ (np.abs(ch.transmit) ** 2))
+            excess[i, j] = max(lost - (1.0 - baseline[j]), 0.0)
+            del ch
+        decoherence[i] /= n_offsets
+    return decoherence, excess.mean(axis=1)
 
 
 def limit_curves(

@@ -1,0 +1,35 @@
+"""The names the benchmark tracer patches must exist in rydsim.
+
+`perfbench/tracer.py` wraps rydsim functions and properties by name; a
+rename or deletion here would make every traced benchmark run fail, so it
+fails this test instead.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load_tracer()
+
+
+@pytest.mark.parametrize("module, attr", tracer.TARGETS)
+def test_traced_function_resolves(module, attr):
+    assert callable(getattr(importlib.import_module(module), attr))
+
+
+@pytest.mark.parametrize("module, cls, prop", tracer.PROPERTIES)
+def test_traced_property_is_a_property(module, cls, prop):
+    owner = getattr(importlib.import_module(module), cls)
+    assert isinstance(owner.__dict__[prop], property)

@@ -122,6 +122,31 @@ class TestPresets:
         pair2, _ = load_pair_system(str(path))
         assert pair2.channels == pair.channels
 
+    @pytest.mark.parametrize("line, message", [
+        ("theta = abc", "bad value for 'theta'"),
+        ("gamma_p_mhz = -1", "gamma_p_mhz must be >= 0"),
+    ])
+    def test_bad_channel_file_global_is_config_error(self, tmp_path, line,
+                                                     message):
+        path = tmp_path / "bad.channels"
+        path.write_text(
+            f"gate_s = 50S1/2 +1/2\nsource_s = 48S1/2 +1/2\n{line}\n"
+            "[channel]\n"
+            "gate = 49P1/2 +1/2\n"
+            "source = 48P1/2 +1/2\n"
+            "defect_zero_field_mhz = 10.0\n"
+            "diff_polarizability_mhz = 19.8374\n"
+            "c3_mhz_um3 = 100.0\n"
+        )
+        with pytest.raises(ConfigError, match=message):
+            load_pair_system(str(path))
+        result = CliRunner().invoke(main, [
+            "starkmap", "--set", f"pair_system={path}",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 2
+        assert message in result.stderr
+
     def test_forbidden_channel_leaves_interaction_unchanged(self, tmp_path):
         # at theta = 0 the selection rules drop a channel whose source
         # state changes m_j by +1, so it must not enter V_ef either
@@ -214,6 +239,12 @@ class TestCli:
              "field_grid entries must be finite"),
             ("fidelity-scan", ["--set", "rate_grid=1e9"],
              "above the 1 GiB limit"),
+            ("gain-scan", ["--set", "source_rate=nan", "--set", "field_grid=0.70"],
+             "source_rate must be finite"),
+            ("gain-scan", ["--set", "gate_mean_in=inf", "--set", "field_grid=0.70"],
+             "gate_mean_in must be finite"),
+            ("gain-scan", ["--set", "g0=nan", "--set", "field_grid=0.70"],
+             "g0 must be finite"),
         ],
     )
     def test_bad_scan_input_exits_with_config_code(self, tmp_path, scan, args,

@@ -109,19 +109,6 @@ class TestBatchSolver:
             ).amplitude
             assert abs(batch[i] - ref) < 2e-3
 
-    def test_no_gate_branch_matches_baseline(self, setup):
-        batch = transmission_batch(
-            np.zeros((3, 2)), None, setup.params, density_scale=[1.0, 0.5, 0.25]
-        )
-        for amp, s in zip(batch, [1.0, 0.5, 0.25]):
-            expected = eit_baseline(setup.params, density_scale=s).amplitude
-            assert abs(amp - expected) < 1e-4
-        grid = transmission_batch(
-            np.zeros((3, 2)), None, setup.params, field=[0.7, 0.71],
-            density_scale=[1.0, 0.5, 0.25],
-        )
-        assert np.array_equal(grid, np.stack([batch, batch]))
-
 
 class TestFieldGrid:
     """A field grid solves the geometry once; each row must equal the

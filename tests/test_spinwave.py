@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ import scipy.linalg
 from scipy import stats
 
 from rydsim import spinwave
+from rydsim.ensemble import sample_geometry
 from rydsim.errors import NumericsError
-from rydsim.propagation import chi_values
+from rydsim.propagation import chi_values, eit_baseline
 from rydsim.spinwave import (
     PhotonChannel,
     SpinWaveState,
@@ -197,20 +199,19 @@ class TestDenseKernels:
 
     def test_generating_function_matches_truncated_poisson_sum(self, setup):
         state = stored_spinwave(setup.geometry, n_points=61)
-        groups = transverse_channels(
+        decoherence, p_scatter = transverse_channels(
             state, setup.geometry, setup.params, setup.interaction,
             setup.resonance_field, n_offsets=3, seed=0,
         )
         means = np.array([0.0, 0.5, 3.0, 20.0, 66.0, 140.0])
-        rows = retrieval_efficiency_curve(state, groups, means, eta0=0.25,
-                                          storage_time=4.2)
+        rows = retrieval_efficiency_curve(state, decoherence, p_scatter, means,
+                                          eta0=0.25, storage_time=4.2)
 
         # sum_k Poisson(k; mu) <psi| D^k o rho |psi>, truncated far in the tail
         psi = np.sqrt(np.real(np.diag(state.rho)))
         k_max = int(np.ceil(means.max() + 10.0 * np.sqrt(means.max() + 1.0)))
-        overlap = np.empty((len(groups), k_max + 1))
-        for ic, group in enumerate(groups):
-            d = np.mean([ch.decoherence_matrix for ch in group], axis=0)
+        overlap = np.empty((len(decoherence), k_max + 1))
+        for ic, d in enumerate(decoherence):
             dk = np.ones_like(d)
             for k in range(k_max + 1):
                 overlap[ic, k] = np.real(psi @ ((dk * state.rho) @ psi))
@@ -220,14 +221,16 @@ class TestDenseKernels:
             pk = stats.poisson.pmf(np.arange(k_max + 1), mean)
             ref = eta_base * np.mean(overlap @ pk)
             assert row.efficiency == pytest.approx(ref, rel=1e-12, abs=0.0)
+            assert row.n_scattered_mean == pytest.approx(
+                mean * np.mean(p_scatter), rel=1e-15, abs=0.0)
 
 
 class TestRetrievalCurve:
     def test_zero_source_efficiency_is_storage_decay_only(self, setup):
         state = stored_spinwave(setup.geometry, n_points=101)
+        d = _identity_channel(state.grid).decoherence_matrix
         rows = retrieval_efficiency_curve(
-            state, [_identity_channel(state.grid)], [0.0], eta0=0.2,
-            storage_time=4.2,
+            state, d[None], np.zeros(1), [0.0], eta0=0.2, storage_time=4.2,
         )
         assert rows[0].efficiency == pytest.approx(
             0.2 * np.exp(-4.2 / state.intrinsic_lifetime), rel=1e-9
@@ -238,8 +241,10 @@ class TestRetrievalCurve:
         state = stored_spinwave(setup.geometry, n_points=101)
         ch = photon_channel(state.grid, setup.params, setup.interaction,
                             setup.resonance_field)
+        _, _, p_s = apply_channel(state, ch)
         rows = retrieval_efficiency_curve(
-            state, [ch], [0.0, 1.0, 4.0, 16.0, 64.0], eta0=0.2,
+            state, ch.decoherence_matrix[None], np.array([p_s]),
+            [0.0, 1.0, 4.0, 16.0, 64.0], eta0=0.2,
         )
         effs = [r.efficiency for r in rows]
         assert all(b < a for a, b in zip(effs, effs[1:]))
@@ -250,7 +255,6 @@ class TestRetrievalCurve:
         # excitation position and the curve approaches eta_base*exp(-N_s);
         # the residual is the coherence within one localization width
         from rydsim.atomic_states import PairChannel, RydbergLevel
-        from rydsim.ensemble import ExperimentGeometry
         from rydsim.interaction import InteractionParams
 
         params = dataclasses.replace(
@@ -270,7 +274,13 @@ class TestRetrievalCurve:
                 setup.geometry, cloud_half_length=mode_half_length)
             state = stored_spinwave(geo, n_points=n_points)
             ch = photon_channel(state.grid, params, inter, 0.0)
-            rows = retrieval_efficiency_curve(state, [ch], means, eta0=0.2)
+            # gamma_s = 0 makes the gate-free baseline 1, so every
+            # scattered photon counts
+            _, _, p_s = apply_channel(state, ch)
+            rows = retrieval_efficiency_curve(
+                state, ch.decoherence_matrix[None], np.array([p_s]), means,
+                eta0=0.2,
+            )
             base = rows[0].efficiency
             return [r.efficiency / (base * np.exp(-r.n_scattered_mean)) - 1.0
                     for r in rows]
@@ -284,13 +294,59 @@ class TestRetrievalCurve:
 
     def test_transverse_channels_structure(self, setup):
         state = stored_spinwave(setup.geometry, n_points=51)
-        groups = transverse_channels(
+        decoherence, p_scatter = transverse_channels(
             state, setup.geometry, setup.params, setup.interaction,
             setup.resonance_field, n_offsets=3, seed=0,
         )
-        assert len(groups) == 3
-        assert all(len(g) == 3 for g in groups)
-        assert all(isinstance(ch, PhotonChannel) for g in groups for ch in g)
+        assert decoherence.shape == (3, 51, 51)
+        assert p_scatter.shape == (3,)
+        # a mean of Kraus decoherence matrices: Hermitian with unit diagonal
+        for d in decoherence:
+            assert np.max(np.abs(d - d.conj().T)) <= 1e-12
+            assert np.max(np.abs(np.diag(d) - 1.0)) <= 1e-6
+        assert np.all((p_scatter >= 0.0) & (p_scatter <= 1.0))
+
+    def test_group_summaries_match_channels_built_by_hand(self, setup):
+        state = stored_spinwave(setup.geometry, n_points=41)
+        field = setup.resonance_field
+        decoherence, p_scatter = transverse_channels(
+            state, setup.geometry, setup.params, setup.interaction, field,
+            n_offsets=2, seed=7,
+        )
+        samples = sample_geometry(setup.geometry, 2, np.random.default_rng(7))
+        p_diag = np.real(np.diag(state.rho))
+        for i in range(2):
+            ds, excess = [], []
+            for j in range(2):
+                scale = float(samples.density_scales[j])
+                ch = photon_channel(
+                    state.grid, setup.params, setup.interaction, field,
+                    gate_offset=tuple(samples.gates[i, :2]),
+                    source_offset=tuple(samples.offsets[j]),
+                    density_scale=scale,
+                )
+                ds.append(ch.decoherence_matrix)
+                baseline = eit_baseline(setup.params, scale).intensity
+                lost = 1.0 - p_diag @ np.abs(ch.transmit) ** 2
+                excess.append(max(lost - (1.0 - baseline), 0.0))
+            assert np.max(np.abs(decoherence[i] - np.mean(ds, axis=0))) <= 1e-15
+            assert abs(p_scatter[i] - np.mean(excess)) <= 1e-15
+
+    def test_transverse_channels_hold_one_channel_at_a_time(self, setup):
+        # 6 x 6 channels of 101 points: holding them all would trace about
+        # 36 scatter matrices; the summaries alone are 6 matrices
+        state = stored_spinwave(setup.geometry, n_points=101)
+        matrix_bytes = 101 * 101 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            transverse_channels(
+                state, setup.geometry, setup.params, setup.interaction,
+                setup.resonance_field, n_offsets=6, seed=0,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * matrix_bytes
 
 
 class TestLimitCurves:
