@@ -37,8 +37,8 @@ _MAX_COUNT_TABLE_BYTES = 2**30
 # Defaults follow the reference experiment:
 #   beam waist 6.2 um; cloud 1/e half-length 40 um, radius 10 um,
 #   2e4 atoms; storage efficiency 60%, detection efficiency 30%;
-#   spin-wave lifetime 3.6 us, storage time 4.2 us, retrieval source
-#   pulse 3.2 us; source rate 35 /us on the isolated resonance.
+#   spin-wave lifetime 3.6 us, storage time 4.2 us; source rate 35 /us
+#   on the isolated resonance.
 # g0 is chosen to give a peak optical depth of 25 for that cloud; the
 # remaining rates are typical EIT settings consistent with the observed
 # gain and fidelity scale.
@@ -76,8 +76,6 @@ _DEFAULTS = {
     "retrieval_eta0": 0.25,
     "storage_time": 4.2,
     "intrinsic_lifetime": 3.6,
-    "retrieval_pulse_length": 3.2,
-    "retrieval_gate_mean_in": 0.8,
     "retrieval_field": -1.0,  # < 0 means: first resonance of the preset
     "retrieval_offsets": 12,
     # oracle check
@@ -146,7 +144,6 @@ def _validate(values: dict) -> None:
     for name in (
         "gamma_s_mhz", "gate_mean_in", "source_rate", "pulse_length",
         "dephasing_per_photon", "storage_time", "retrieval_eta0",
-        "retrieval_pulse_length", "retrieval_gate_mean_in",
     ):
         if values[name] < 0:
             raise ConfigError(f"{name} must be >= 0, got {values[name]}")
@@ -155,9 +152,11 @@ def _validate(values: dict) -> None:
         raise ConfigError(f"samples must be >= 2, got {values['samples']}")
     if values["oracle_sets"] < 1:
         raise ConfigError("oracle_sets must be >= 1")
-    if not np.all(np.isfinite(values["field_grid"])):
-        raise ConfigError("field_grid entries must be finite")
-    if np.any(np.diff(values["field_grid"]) < 0):
+    # a field grid holds dc field magnitudes
+    fields = np.asarray(values["field_grid"], dtype=float)
+    if not np.all(np.isfinite(fields) & (fields >= 0)):
+        raise ConfigError("field_grid entries must be finite and >= 0")
+    if np.any(np.diff(fields) < 0):
         raise ConfigError("field_grid must be sorted ascending")
     if len(values["rate_grid"]) == 0:
         raise ConfigError("rate_grid must not be empty")

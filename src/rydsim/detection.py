@@ -21,10 +21,8 @@ from .atomic_states import PairConfig
 from .ensemble import (
     ExperimentGeometry,
     PhotonStats,
-    _intensities_baseline,
-    _intensities_with_gate,
     boxcar_convolve,
-    sample_geometry,
+    sample_intensities,
 )
 from .interaction import InteractionParams
 from .propagation import PropagationParams
@@ -118,14 +116,12 @@ def fidelity_scan(
     """
     fields = np.asarray(fields, dtype=float)
     rates = np.asarray(rates, dtype=float)
-    rng = np.random.default_rng(seed)
-    samples = sample_geometry(geometry, n_samples, rng)
-    i0 = _intensities_baseline(samples, params)
+    i0, table = sample_intensities(geometry, params, interaction, fields,
+                                   n_samples, seed)
     eta = stats.detector_efficiency
     results = []
     fid_grid = np.empty((rates.size, fields.size))
     thr_grid = np.empty((rates.size, fields.size), dtype=int)
-    table = _intensities_with_gate(samples, params, interaction, fields)
     for kr, rate in enumerate(rates):
         scale = eta * rate * stats.pulse_length
         mu0s = scale * i0

@@ -114,31 +114,22 @@ def sample_geometry(
     return GeometrySamples(offsets=offsets, gates=gates, density_scales=scales)
 
 
-def _intensities_with_gate(
-    samples: GeometrySamples,
+def sample_intensities(
+    geometry: ExperimentGeometry,
     params: PropagationParams,
     interaction: InteractionParams,
     field: float | np.ndarray,
-) -> np.ndarray:
-    """Per-sample gated intensities; shape (n,) for a scalar field and
-    (n_fields, n) for a field grid, solved in one `transmission_batch`."""
-    amps = transmission_batch(
-        samples.offsets,
-        samples.gates,
-        params,
-        interaction,
-        field,
-        density_scale=samples.density_scales,
-    )
-    return np.minimum(np.abs(amps) ** 2, 1.0)
-
-
-def _intensities_baseline(
-    samples: GeometrySamples, params: PropagationParams
-) -> np.ndarray:
-    base = eit_baseline(params).amplitude
-    exponent = np.log(base) * samples.density_scales
-    return np.minimum(np.abs(np.exp(exponent)) ** 2, 1.0)
+    n_samples: int,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample intensities `(i0, table)` of one seeded geometry draw:
+    gate-free `i0` (n,) in closed form, and the gated `table`, (n,) for a
+    scalar field or (n_fields, n) for a field grid, in one call."""
+    samples = sample_geometry(geometry, n_samples, np.random.default_rng(seed))
+    i0 = eit_baseline(params, samples.density_scales).intensity
+    amps = transmission_batch(samples.offsets, samples.gates, params, interaction,
+                              field, density_scale=samples.density_scales)
+    return i0, np.minimum(np.abs(amps) ** 2, 1.0)
 
 
 def optical_gain(t0: float, t1: float, stats: PhotonStats) -> float:
@@ -196,15 +187,13 @@ def field_scan(
     fields = np.asarray(fields, dtype=float)
     if np.any(np.diff(fields) < 0):
         raise ValueError("field grid must be sorted ascending")
-    rng = np.random.default_rng(seed)
-    samples = sample_geometry(geometry, n_samples, rng)
-    i0 = _intensities_baseline(samples, params)
+    i0, table = sample_intensities(geometry, params, interaction, fields,
+                                   n_samples, seed)
     t0 = float(np.mean(i0))
     gains = np.empty(fields.size)
     errs = np.empty(fields.size)
     t1s = np.empty(fields.size)
-    n = samples.offsets.shape[0]
-    table = _intensities_with_gate(samples, params, interaction, fields)
+    n = i0.size
     for k, i1 in enumerate(table):
         t1 = float(np.mean(i1))
         t1s[k] = t1

@@ -9,7 +9,7 @@ class ConfigError(SimulationError):
     """Invalid configuration file, unknown key or violated invariant."""
 
 
-class ChannelError(SimulationError):
+class ChannelError(ConfigError):
     """A pair channel violates dipole selection rules."""
 
 

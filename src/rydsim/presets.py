@@ -26,7 +26,10 @@ def parse_level(text: str) -> RydbergLevel:
     m_j = int(mj2) / 2.0
     if sign == "-":
         m_j = -m_j
-    return RydbergLevel(n=int(n), l=l, j=int(j2) / 2.0, m_j=m_j)
+    try:
+        return RydbergLevel(n=int(n), l=l, j=int(j2) / 2.0, m_j=m_j)
+    except ValueError as exc:
+        raise ConfigError(f"bad Rydberg level {text!r}: {exc}") from exc
 
 
 def _parse_sections(text: str, source: str):

@@ -13,6 +13,11 @@ gamma_s term follows from the microscopic time-domain equations (the
 compact frequency-domain form is often quoted with the opposite,
 unphysical sign).
 
+The gate-free factor has the closed form `eit_baseline`.  The gated
+solver `transmission_batch` multiplies it by the blockade factor,
+integrated on a graded grid; `transmission_freq` integrates the full chi
+by adaptive quadrature as an independent reference.
+
 Time domain: the same transport is integrated brute-force from the four
 coupled amplitudes (photon, intermediate P, source Rydberg S, and the
 gate-source P-pair component) as an independent oracle.
@@ -94,14 +99,13 @@ class PropagationParams:
 
 @dataclass(frozen=True)
 class TransmissionResult:
-    """Transmitted amplitude and derived intensity quantities."""
+    """Transmitted amplitude (scalar or per sample) and its intensity."""
 
-    amplitude: complex
+    amplitude: complex | np.ndarray
 
     @property
-    def intensity(self) -> float:
-        return min(abs(self.amplitude) ** 2, 1.0)
-
+    def intensity(self) -> float | np.ndarray:
+        return np.minimum(np.abs(self.amplitude) ** 2, 1.0)
 
 
 def _check_validity(params: PropagationParams, gamma_p: float = 0.0) -> None:
@@ -130,10 +134,17 @@ def chi_values(
     eit = (params.omega + 1j * params.gamma_s) / params.omega_rabi**2
     chi = g_sq * eit
     if vef_prefactor != 0.0:
-        d_sq = np.maximum((z - gate_z) ** 2 + transverse_dist_sq, R_MIN**2)
-        vef = vef_prefactor / d_sq**3
+        vef = vef_prefactor / _clamped_d6(z - gate_z, transverse_dist_sq)
         chi = chi + _blockade_chi(g_sq, vef, params)
     return chi
+
+
+def _clamped_d6(dz, transverse_dist_sq, out=None):
+    """d^6 with d^2 = dz^2 + b^2 clamped at R_MIN^2; `out` may be `dz`."""
+    d_sq = np.square(dz, out=out)
+    d_sq += transverse_dist_sq
+    d_sq = np.maximum(d_sq, R_MIN**2, out=out)
+    return np.power(d_sq, 3, out=out)
 
 
 def _blockade_chi(g_sq, vef, params: PropagationParams, out=None, den=None):
@@ -148,8 +159,11 @@ def _blockade_chi(g_sq, vef, params: PropagationParams, out=None, den=None):
     return np.divide(num, den, out=out)
 
 
-def eit_baseline(params: PropagationParams, density_scale: float = 1.0) -> TransmissionResult:
-    """Transmission with no gate present (closed form)."""
+def eit_baseline(
+    params: PropagationParams, density_scale: float | np.ndarray = 1.0
+) -> TransmissionResult:
+    """Transmission with no gate present (closed form); `density_scale`
+    may be scalar or per-sample."""
     _check_validity(params)
     exponent = (
         1j
@@ -238,17 +252,17 @@ def transmission_batch(
 ) -> np.ndarray:
     """Vectorized transmitted amplitudes for many (offset, gate) samples.
 
-    `offsets` has shape (n, 2) and `gate_positions` shape (n, 3); the
-    gate-free transmission is the closed form `eit_baseline`.
+    `offsets` has shape (n, 2) and `gate_positions` shape (n, 3);
     `density_scale` may be scalar or per-sample.  `field` is a scalar,
     giving amplitudes of shape (n,), or a 1-D field grid, giving shape
-    (n_fields, n).  Uses a fixed graded trapezoid grid refined around each
-    gate; cross-validated against `transmission_freq` in the test suite.
+    (n_fields, n).  Each amplitude is `eit_baseline` times the blockade
+    factor, a trapezoid sum on a graded grid refined around each gate;
+    cross-validated against `transmission_freq` in the test suite.
 
     The field enters only through the scalar `effective_c6`, so the grid,
-    the trapezoid weights times g^2, 1/d^6 and the EIT term are built once
-    per call; each field then costs one blockade term, evaluated in two
-    reused (n x grid) buffers.
+    the trapezoid weights times g^2 and 1/d^6 are built once per call;
+    each field then costs one blockade term, evaluated in two reused
+    (n x grid) buffers.
     """
     offsets = np.asarray(offsets, dtype=float)
     n = offsets.shape[0]
@@ -266,27 +280,21 @@ def transmission_batch(
     del dz
     g_sq *= params.relative_density(z)
     g_sq *= (0.5 * params.g**2) * scale[:, None]
-    eit = (params.omega + 1j * params.gamma_s) / params.omega_rabi**2
-    eit_integral = eit * g_sq.sum(axis=1)
     t_dist_sq = (offsets[:, 0] - gate_positions[:, 0]) ** 2 + (
         offsets[:, 1] - gate_positions[:, 1]
     ) ** 2
     # z becomes 1/d^6 in place
     z -= gate_z[:, None]
-    np.square(z, out=z)
-    z += t_dist_sq[:, None]
-    np.maximum(z, R_MIN**2, out=z)
-    z **= 3
-    inv_d6 = np.reciprocal(z, out=z)
+    inv_d6 = np.reciprocal(_clamped_d6(z, t_dist_sq[:, None], out=z), out=z)
 
     vef = np.empty(inv_d6.shape, dtype=complex)
     den = np.empty_like(vef)
-    integral = np.empty((fields.size, n), dtype=complex)
+    blockade = np.empty((fields.size, n), dtype=complex)
     for k, f in enumerate(fields.reshape(-1)):
         np.multiply(inv_d6, effective_c6(params.omega, float(f), interaction), out=vef)
         _blockade_chi(g_sq, vef, params, out=vef, den=den)
-        integral[k] = eit_integral + vef.sum(axis=1)
-    amps = np.exp(1j * integral / params.c)
+        blockade[k] = vef.sum(axis=1)
+    amps = eit_baseline(params, scale).amplitude * np.exp(1j * blockade / params.c)
     return amps if fields.ndim else amps[0]
 
 

@@ -119,7 +119,7 @@ def photon_channel(
     t = transmission_batch(
         offsets, gates, params, interaction, field, density_scale=density_scale
     )
-    # clip |t| <= 1 against trapezoid roundoff
+    # clip |t| <= 1 against roundoff
     mag = np.abs(t)
     t = np.where(mag > 1.0, t / mag, t)
 
@@ -256,8 +256,7 @@ def transverse_channels(
     n = state.grid.size
     decoherence = np.zeros((n_offsets, n, n), dtype=complex)
     excess = np.empty((n_offsets, n_offsets))
-    baseline = [eit_baseline(params, float(s)).intensity
-                for s in samples.density_scales]
+    baseline = eit_baseline(params, samples.density_scales).intensity
     for i in range(n_offsets):
         for j in range(n_offsets):
             ch = photon_channel(

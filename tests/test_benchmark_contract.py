@@ -5,8 +5,10 @@ rename or deletion here would make every traced benchmark run fail, so it
 fails this test instead.
 """
 
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -33,3 +35,21 @@ def test_traced_function_resolves(module, attr):
 def test_traced_property_is_a_property(module, cls, prop):
     owner = getattr(importlib.import_module(module), cls)
     assert isinstance(owner.__dict__[prop], property)
+
+
+# names the tracer's work counters read from call arguments and results
+@pytest.mark.parametrize("module, func, params", [
+    ("rydsim.propagation", "transmission_batch",
+     ("offsets", "gate_positions", "interaction", "params")),
+    ("rydsim.detection", "poisson_mixture_pmf", ("mus", "k_max")),
+])
+def test_counted_parameters_exist(module, func, params):
+    sig = inspect.signature(getattr(importlib.import_module(module), func))
+    assert set(params) <= set(sig.parameters)
+
+
+def test_counted_channel_fields_exist():
+    from rydsim.spinwave import PhotonChannel
+
+    fields = {f.name for f in dataclasses.fields(PhotonChannel)}
+    assert {"transmit", "scatter"} <= fields

@@ -147,6 +147,32 @@ class TestPresets:
         assert result.exit_code == 2
         assert message in result.stderr
 
+    @pytest.mark.parametrize("gate_s, gate, message", [
+        ("50S3/2 +1/2", "49P1/2 +1/2", "S states carry j = 1/2"),
+        ("50P1/2 +1/2", "49P1/2 +1/2", "s_pair must contain S states"),
+        ("50S1/2 +1/2", "49S1/2 +1/2", "not dipole-coupled"),
+    ])
+    def test_bad_channel_state_exits_with_config_code(self, tmp_path, gate_s,
+                                                      gate, message):
+        path = tmp_path / "bad.channels"
+        path.write_text(
+            f"gate_s = {gate_s}\nsource_s = 48S1/2 +1/2\n"
+            "[channel]\n"
+            f"gate = {gate}\n"
+            "source = 48P1/2 +1/2\n"
+            "defect_zero_field_mhz = 10.0\n"
+            "diff_polarizability_mhz = 19.8374\n"
+            "c3_mhz_um3 = 100.0\n"
+        )
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, [
+            "starkmap", "--set", f"pair_system={path}", "--out", str(out),
+        ])
+        assert result.exit_code == 2
+        assert "config error:" in result.stderr
+        assert message in result.stderr
+        assert not (out / "starkmap.csv").exists()
+
     def test_forbidden_channel_leaves_interaction_unchanged(self, tmp_path):
         # at theta = 0 the selection rules drop a channel whose source
         # state changes m_j by +1, so it must not enter V_ef either
@@ -245,6 +271,8 @@ class TestCli:
              "gate_mean_in must be finite"),
             ("gain-scan", ["--set", "g0=nan", "--set", "field_grid=0.70"],
              "g0 must be finite"),
+            ("starkmap", ["--set", "field_grid=-0.5,-0.1"],
+             "field_grid entries must be finite and >= 0"),
         ],
     )
     def test_bad_scan_input_exits_with_config_code(self, tmp_path, scan, args,

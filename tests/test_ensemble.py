@@ -8,13 +8,13 @@ import pytest
 from rydsim.ensemble import (
     ExperimentGeometry,
     PhotonStats,
-    _intensities_with_gate,
     boxcar_convolve,
     field_scan,
     local_maxima,
     nondestructive_limit,
     optical_gain,
     sample_geometry,
+    sample_intensities,
 )
 
 
@@ -103,10 +103,10 @@ class TestFieldScan:
             setup.pair, setup.geometry, setup.params, setup.interaction,
             fields, setup.stats, n_samples=300, seed=2,
         )
-        samples = sample_geometry(setup.geometry, 300, np.random.default_rng(2))
-        i1 = _intensities_with_gate(samples, setup.params, setup.interaction,
-                                    fields[1])
-        assert i1.shape == (300,)
+        i0, i1 = sample_intensities(setup.geometry, setup.params,
+                                    setup.interaction, fields[1], 300, seed=2)
+        assert i0.shape == i1.shape == (300,)
+        assert points[1].t0 == pytest.approx(np.mean(i0), abs=1e-12)
         assert points[1].t1 == pytest.approx(np.mean(i1), abs=1e-12)
 
     def test_rejects_unsorted_grid(self, setup):

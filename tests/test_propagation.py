@@ -1,5 +1,7 @@
 """Source transmission: analytic limits, passivity and solver cross-checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,16 @@ class TestAnalyticLimits:
         t2 = eit_baseline(params, density_scale=2.0).amplitude
         assert t2 == pytest.approx(t1**2, rel=1e-12)
 
+    def test_per_sample_scales_match_scalar_calls(self, setup, rng):
+        scales = rng.uniform(0.0, 1.5, size=9)
+        batch = eit_baseline(setup.params, scales)
+        single = [eit_baseline(setup.params, s) for s in scales]
+        assert batch.amplitude.shape == batch.intensity.shape == (9,)
+        assert np.allclose(batch.amplitude, [r.amplitude for r in single],
+                           rtol=1e-15, atol=0.0)
+        assert np.allclose(batch.intensity, [r.intensity for r in single],
+                           rtol=1e-15, atol=0.0)
+
 
 class TestPassivity:
     def test_no_gain_anywhere(self, setup, rng):
@@ -108,6 +120,24 @@ class TestBatchSolver:
                 field=field, density_scale=scales[i],
             ).amplitude
             assert abs(batch[i] - ref) < 2e-3
+
+    @pytest.mark.parametrize("profile", ["gaussian", "uniform"])
+    def test_no_blockade_is_the_closed_form(self, setup, rng, profile):
+        # the graded grid carries only the blockade term, so without
+        # channels the gated solver returns eit_baseline at every gate
+        params = dataclasses.replace(setup.params, profile=profile)
+        free = InteractionParams(c3=0.0, c3_prime=0.0, gamma_p=0.0)
+        n = 40
+        offsets = rng.normal(0.0, 3.5, size=(n, 2))
+        gates = np.column_stack(
+            [rng.normal(0.0, 3.5, size=(n, 2)), rng.uniform(-60.0, 60.0, size=n)]
+        )
+        scales = rng.uniform(0.4, 1.0, size=n)
+        amps = transmission_batch(offsets, gates, params, free,
+                                  field=[0.0, 0.71], density_scale=scales)
+        for i, scale in enumerate(scales):
+            ref = eit_baseline(params, scale).amplitude
+            assert np.all(np.abs(amps[:, i] - ref) <= 1e-15 * abs(ref))
 
 
 class TestFieldGrid:
