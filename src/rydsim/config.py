@@ -137,12 +137,12 @@ def _validate(values: dict) -> None:
     for name in (
         "beam_waist", "cloud_half_length", "cloud_radius", "atom_number",
         "g0", "omega_rabi_mhz", "gamma_mhz", "speed_of_light",
-        "intrinsic_lifetime",
+        "intrinsic_lifetime", "pulse_length",
     ):
         if values[name] <= 0:
             raise ConfigError(f"{name} must be > 0, got {values[name]}")
     for name in (
-        "gamma_s_mhz", "gate_mean_in", "source_rate", "pulse_length",
+        "gamma_s_mhz", "gate_mean_in", "source_rate",
         "dephasing_per_photon", "storage_time", "retrieval_eta0",
     ):
         if values[name] < 0:
@@ -223,7 +223,7 @@ def load_config(
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = (p.strip() for p in line.split("=", 1))
             if key in _GRID_SHORTHAND:
-                shorthand[key] = _parse_scalar("f", value, path, lineno)
+                shorthand[key] = _parse_scalar(key, value, path, lineno)
                 continue
             if key == "scan":
                 scan = value
@@ -233,6 +233,8 @@ def load_config(
             values[key] = _parse_scalar(key, value, path, lineno)
     for key, value in (overrides or {}).items():
         if key in _GRID_SHORTHAND:
+            if isinstance(value, str):
+                value = _parse_scalar(key, value, "<override>", 0)
             shorthand[key] = float(value)
             continue
         if key not in _DEFAULTS:
@@ -245,12 +247,15 @@ def load_config(
         missing = _GRID_SHORTHAND - set(shorthand)
         if missing:
             raise ConfigError(f"incomplete field grid shorthand; missing {sorted(missing)}")
+        for key in ("field_start", "field_stop"):
+            if not math.isfinite(shorthand[key]):
+                raise ConfigError(f"{key} must be finite, got {shorthand[key]}")
+        points = shorthand["field_points"]
+        # an empty grid would fall back to the default one
+        if not (points.is_integer() and points >= 1):
+            raise ConfigError(f"field_points must be an integer >= 1, got {points}")
         values["field_grid"] = list(
-            np.linspace(
-                shorthand["field_start"],
-                shorthand["field_stop"],
-                int(shorthand["field_points"]),
-            )
+            np.linspace(shorthand["field_start"], shorthand["field_stop"], int(points))
         )
     return RunConfig(scan=scan, values=values)
 

@@ -16,7 +16,11 @@ unphysical sign).
 The gate-free factor has the closed form `eit_baseline`.  The gated
 solver `transmission_batch` multiplies it by the blockade factor,
 integrated on a graded grid; `transmission_freq` integrates the full chi
-by adaptive quadrature as an independent reference.
+by adaptive quadrature as an independent reference.  Both evaluate the
+blockade term in one real-arithmetic kernel, `_blockade_kernel`: with
+V_ef = C/d^6 it is w / (a - i*beta), where w = g^2/d^6 and
+beta = gamma/d^6 do not depend on the field and a = Omega^2/C is one
+complex scalar per field.
 
 Time domain: the same transport is integrated brute-force from the four
 coupled amplitudes (photon, intermediate P, source Rydberg S, and the
@@ -134,8 +138,10 @@ def chi_values(
     eit = (params.omega + 1j * params.gamma_s) / params.omega_rabi**2
     chi = g_sq * eit
     if vef_prefactor != 0.0:
-        vef = vef_prefactor / _clamped_d6(z - gate_z, transverse_dist_sq)
-        chi = chi + _blockade_chi(g_sq, vef, params)
+        d6 = _clamped_d6(z - gate_z, transverse_dist_sq)
+        a = complex(params.omega_rabi**2 / vef_prefactor)
+        q, v = _blockade_kernel(g_sq / d6, params.gamma / d6, a)
+        chi = chi + q * (a.real - 1j * v)
     return chi
 
 
@@ -147,16 +153,19 @@ def _clamped_d6(dz, transverse_dist_sq, out=None):
     return np.power(d_sq, 3, out=out)
 
 
-def _blockade_chi(g_sq, vef, params: PropagationParams, out=None, den=None):
-    """Blockade part of chi, g^2 V_ef / (Omega^2 - i*gamma*V_ef).
+def _blockade_kernel(w, beta, a: complex, q=None, v=None):
+    """Blockade part of chi, g^2 V / (Omega^2 - i*gamma*V), in real arithmetic.
 
-    `out` and `den` are optional buffers shaped like `vef`; with both
-    given nothing is allocated, and `out` may be `vef` itself.
+    With V = C/d^6 the term is w / (a - i*beta): w = g^2/d^6 and
+    beta = gamma/d^6 do not depend on the field, and a = Omega^2/C is one
+    complex scalar per field.  Returns q = w / ((Re a)^2 + v^2) and
+    v = Im a - beta, so the term is q * (Re a - i*v).  `q` and `v` are
+    optional buffers shaped like `w`; with both given nothing is allocated.
     """
-    den = np.multiply(vef, -1j * params.gamma, out=den)
-    den += params.omega_rabi**2
-    num = np.multiply(g_sq, vef, out=out)
-    return np.divide(num, den, out=out)
+    v = np.subtract(a.imag, beta, out=v)
+    den = np.square(v, out=q)
+    den += a.real**2
+    return np.divide(w, den, out=q), v
 
 
 def eit_baseline(
@@ -259,10 +268,11 @@ def transmission_batch(
     factor, a trapezoid sum on a graded grid refined around each gate;
     cross-validated against `transmission_freq` in the test suite.
 
-    The field enters only through the scalar `effective_c6`, so the grid,
-    the trapezoid weights times g^2 and 1/d^6 are built once per call;
-    each field then costs one blockade term, evaluated in two reused
-    (n x grid) buffers.
+    The field enters only through the scalar `effective_c6`, so the grid
+    and the real field-free terms w = (trapezoid weight) g^2/d^6 and
+    beta = gamma/d^6 are built once per call; each field then costs one
+    real `_blockade_kernel` pass in two reused (n x grid) buffers and
+    two row reductions.
     """
     offsets = np.asarray(offsets, dtype=float)
     n = offsets.shape[0]
@@ -274,26 +284,32 @@ def transmission_batch(
     gate_z = gate_positions[:, 2]
     z = _graded_grid(params.z_extent, gate_z)
     dz = np.diff(z, axis=1)
-    g_sq = np.zeros_like(z)  # trapezoid weights times local g^2
-    g_sq[:, 1:] = dz
-    g_sq[:, :-1] += dz
+    w = np.zeros_like(z)  # trapezoid weights times local g^2, then over d^6
+    w[:, 1:] = dz
+    w[:, :-1] += dz
     del dz
-    g_sq *= params.relative_density(z)
-    g_sq *= (0.5 * params.g**2) * scale[:, None]
+    w *= params.relative_density(z)
+    w *= (0.5 * params.g**2) * scale[:, None]
     t_dist_sq = (offsets[:, 0] - gate_positions[:, 0]) ** 2 + (
         offsets[:, 1] - gate_positions[:, 1]
     ) ** 2
-    # z becomes 1/d^6 in place
+    # z becomes d^6, then beta, in place
     z -= gate_z[:, None]
-    inv_d6 = np.reciprocal(_clamped_d6(z, t_dist_sq[:, None], out=z), out=z)
+    d6 = _clamped_d6(z, t_dist_sq[:, None], out=z)
+    w /= d6
+    beta = np.divide(params.gamma, d6, out=z)
 
-    vef = np.empty(inv_d6.shape, dtype=complex)
-    den = np.empty_like(vef)
-    blockade = np.empty((fields.size, n), dtype=complex)
+    q = np.empty_like(w)
+    v = np.empty_like(w)
+    blockade = np.zeros((fields.size, n), dtype=complex)
     for k, f in enumerate(fields.reshape(-1)):
-        np.multiply(inv_d6, effective_c6(params.omega, float(f), interaction), out=vef)
-        _blockade_chi(g_sq, vef, params, out=vef, den=den)
-        blockade[k] = vef.sum(axis=1)
+        c6 = effective_c6(params.omega, float(f), interaction)
+        if c6 == 0.0:
+            continue
+        a = complex(params.omega_rabi**2 / c6)
+        _blockade_kernel(w, beta, a, q=q, v=v)
+        blockade[k].real = a.real * q.sum(axis=1)
+        blockade[k].imag = -np.einsum("ij,ij->i", q, v)
     amps = eit_baseline(params, scale).amplitude * np.exp(1j * blockade / params.c)
     return amps if fields.ndim else amps[0]
 

@@ -53,3 +53,14 @@ def test_counted_channel_fields_exist():
 
     fields = {f.name for f in dataclasses.fields(PhotonChannel)}
     assert {"transmit", "scatter"} <= fields
+
+
+def test_graded_grid_gives_points_per_row():
+    # the tracer counts chi_points as rows x _graded_grid(z_extent, [0.0]).shape[1]
+    from rydsim import propagation
+
+    sig = inspect.signature(propagation._graded_grid)
+    assert list(sig.parameters) == ["z_extent", "gate_z"]
+    row = propagation._graded_grid(120.0, [0.0])
+    assert row.ndim == 2 and row.shape[0] == 1
+    assert propagation._graded_grid(120.0, [0.0, 5.0, -30.0]).shape == (3, row.shape[1])

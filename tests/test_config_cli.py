@@ -19,6 +19,9 @@ from rydsim.ensemble import field_scan
 from rydsim.errors import ChannelError, ConfigError
 from rydsim.presets import load_pair_system, parse_channel_file, parse_level
 
+# a valid field-grid shorthand but for its point count
+_SHORTHAND = ("--set", "field_start=0.7", "--set", "field_stop=0.72")
+
 
 class TestLoadConfig:
     def test_defaults_without_file(self):
@@ -273,6 +276,22 @@ class TestCli:
              "g0 must be finite"),
             ("starkmap", ["--set", "field_grid=-0.5,-0.1"],
              "field_grid entries must be finite and >= 0"),
+            ("gain-scan", ["--set", "pulse_length=0", "--set", "field_grid=0.71"],
+             "pulse_length must be > 0"),
+            ("gain-scan", [*_SHORTHAND, "--set", "field_points=0"],
+             "field_points must be an integer >= 1"),
+            ("gain-scan", [*_SHORTHAND, "--set", "field_points=2.7"],
+             "field_points must be an integer >= 1"),
+            ("gain-scan", [*_SHORTHAND, "--set", "field_points=-3"],
+             "field_points must be an integer >= 1"),
+            ("gain-scan", [*_SHORTHAND, "--set", "field_points=abc"],
+             "bad value for 'field_points'"),
+            ("gain-scan", ["--set", "field_start=nan", "--set", "field_stop=0.72",
+                           "--set", "field_points=3"],
+             "field_start must be finite"),
+            ("gain-scan", ["--set", "field_start=0.7", "--set", "field_stop=inf",
+                           "--set", "field_points=3"],
+             "field_stop must be finite"),
         ],
     )
     def test_bad_scan_input_exits_with_config_code(self, tmp_path, scan, args,

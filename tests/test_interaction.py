@@ -98,12 +98,15 @@ class TestEffectivePotential:
                                  cloud_half_length=10.0, profile="uniform")
         pref = effective_c6(0.0, 0.0, params)
         chi = chi_values(np.array([2.0, 4.0, -2.0, 0.0]), prop, pref, 0.0)
-        v2, v4, v_minus2, v_gate = chi / (1.0 + 1j * chi)
+        v2, v4, v_minus2, _ = chi / (1.0 + 1j * chi)
         assert v2 / v4 == pytest.approx(2.0**6, rel=1e-12)
         # symmetric around the gate
         assert v_minus2 == pytest.approx(v2, rel=1e-12)
-        # finite on top of the gate: the distance is clamped at R_MIN
-        assert v_gate == pytest.approx(pref / R_MIN**6, rel=1e-12)
+        # finite on top of the gate: the distance is clamped at R_MIN.  The
+        # inversion above amplifies a 1-ulp change of chi about 1e4x there,
+        # so this check runs forward: chi = V / (1 - i V) at V = pref/R_MIN^6
+        v_gate = pref / R_MIN**6
+        assert chi[3] == pytest.approx(v_gate / (1.0 - 1j * v_gate), rel=1e-12)
 
 
 class TestScales:

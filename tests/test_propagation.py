@@ -1,6 +1,7 @@
 """Source transmission: analytic limits, passivity and solver cross-checks."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from rydsim.atomic_states import PairChannel, RydbergLevel
 from rydsim.config import build_setup, load_config
 from rydsim.interaction import InteractionParams, effective_c6
 from rydsim.propagation import (
+    R_MIN,
     PropagationParams,
+    _graded_grid,
+    chi_values,
     eit_baseline,
     transmission_batch,
     transmission_freq,
@@ -177,6 +181,92 @@ class TestFieldGrid:
         amps = transmission_batch(np.zeros((3, 2)), gates, setup.params,
                                   setup.interaction, field=setup.resonance_field)
         assert amps.shape == (3,)
+
+
+def _complex_blockade(g_sq, d_sq, c6, params):
+    """Reference blockade term g^2 V / (Omega^2 - i*gamma*V), V = C/d^6,
+    in plain complex arithmetic."""
+    vef = c6 / d_sq**3
+    return g_sq * vef / (params.omega_rabi**2 - 1j * params.gamma * vef)
+
+
+# field windows that cross a Stark-tuned resonance of each preset
+_RESONANCE_WINDOWS = pytest.mark.parametrize("pair_system, lo, hi", [
+    ("rb87_50s48s", 0.69, 0.73),
+    ("rb87_66s64s", 0.06, 0.10),
+])
+
+
+def _resonance_window(pair_system, lo, hi, n_fields):
+    setup = build_setup(load_config(None, "gain-scan", {"pair_system": pair_system}))
+    fields = np.linspace(lo, hi, n_fields)
+    c6 = np.array([effective_c6(setup.params.omega, f, setup.interaction)
+                   for f in fields])
+    assert c6.real.min() < 0.0 < c6.real.max()  # the grid crosses a resonance
+    return setup, fields, c6
+
+
+def _samples(rng, n):
+    offsets = rng.normal(0.0, 3.5, size=(n, 2))
+    gates = np.column_stack(
+        [rng.normal(0.0, 3.5, size=(n, 2)), rng.normal(0.0, 15.0, size=n)]
+    )
+    return offsets, gates, rng.uniform(0.4, 1.0, size=n)
+
+
+class TestBlockadeKernel:
+    """The real-arithmetic kernel against the complex blockade formula."""
+
+    @_RESONANCE_WINDOWS
+    def test_batch_matches_complex_formula(self, rng, pair_system, lo, hi):
+        setup, fields, c6 = _resonance_window(pair_system, lo, hi, 9)
+        params = setup.params
+        offsets, gates, scales = _samples(rng, 60)
+        amps = transmission_batch(offsets, gates, params, setup.interaction,
+                                  field=fields, density_scale=scales)
+        z = _graded_grid(params.z_extent, gates[:, 2])
+        weights = np.zeros_like(z)
+        weights[:, 1:] = np.diff(z, axis=1)
+        weights[:, :-1] += np.diff(z, axis=1)
+        g_sq = 0.5 * weights * params.g**2 * scales[:, None] * params.relative_density(z)
+        t_dist_sq = np.sum((offsets - gates[:, :2]) ** 2, axis=1)
+        d_sq = np.maximum((z - gates[:, 2:]) ** 2 + t_dist_sq[:, None], R_MIN**2)
+        base = eit_baseline(params, scales).amplitude
+        for k in range(fields.size):
+            blockade = _complex_blockade(g_sq, d_sq, c6[k], params).sum(axis=1)
+            ref = base * np.exp(1j * blockade / params.c)
+            assert np.all(np.abs(amps[k] - ref) <= 1e-13 * np.abs(ref))
+
+    @_RESONANCE_WINDOWS
+    def test_chi_values_broadcast_matches_complex_formula(self, pair_system, lo, hi):
+        # the [gate, source] table the spin-wave channels build
+        setup, fields, c6 = _resonance_window(pair_system, lo, hi, 5)
+        params = setup.params
+        grid = np.linspace(-80.0, 80.0, 61)
+        t_dist_sq, scale = 2.5, 0.8
+        g_sq = params.g**2 * scale * params.relative_density(grid[None, :])
+        d_sq = np.maximum((grid[None, :] - grid[:, None]) ** 2 + t_dist_sq, R_MIN**2)
+        eit = g_sq * (params.omega + 1j * params.gamma_s) / params.omega_rabi**2
+        for pref in c6:
+            chi = chi_values(grid[None, :], params, pref, grid[:, None],
+                             t_dist_sq, scale)
+            ref = eit + _complex_blockade(g_sq, d_sq, pref, params)
+            assert chi.shape == (grid.size, grid.size)
+            assert np.all(np.abs(chi - ref) <= 1e-13 * np.abs(ref))
+
+    def test_batch_memory_peak(self, setup, rng):
+        # w and beta are built once; each field reuses two real buffers
+        n, fields = 2000, np.linspace(0.70, 0.72, 5)
+        offsets, gates, scales = _samples(rng, n)
+        table = _graded_grid(setup.params.z_extent, gates[:, 2]).nbytes
+        tracemalloc.start()
+        try:
+            transmission_batch(offsets, gates, setup.params, setup.interaction,
+                               field=fields, density_scale=scales)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * table
 
 
 def test_time_domain_oracle_agrees_with_frequency_solver():
