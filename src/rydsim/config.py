@@ -294,7 +294,18 @@ def build_setup(config: RunConfig) -> SimulationSetup:
         cloud_radius=config.cloud_radius,
         atom_number=config.atom_number,
     )
-    g_peak = config.g0 * math.sqrt(geometry.peak_density)
+    # an extreme cloud_radius underflows or overflows the density formula
+    try:
+        density = geometry.peak_density
+    except (ZeroDivisionError, OverflowError):
+        density = math.nan
+    g_peak = config.g0 * math.sqrt(density)
+    # g0 is finite and > 0, so this also rejects a NaN, inf or zero density
+    if not (math.isfinite(g_peak) and g_peak > 0.0):
+        raise ConfigError(
+            f"cloud geometry gives peak density {density:g} um^-3 and "
+            f"g_peak {g_peak:g}; both must be finite and > 0"
+        )
     params = PropagationParams(
         g=g_peak,
         omega_rabi=from_mhz(config.omega_rabi_mhz),

@@ -7,6 +7,9 @@ excitation.  The count distributions of the two cases are exact Poisson
 mixtures over the geometry samples, and a count threshold classifies
 each shot.  The detection fidelity is the worst-case probability of a
 correct call, maximized over the threshold.
+
+`poisson_mixture_pmf` imports `scipy.special.gammaln` on first call, so
+importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .atomic_states import PairConfig
 from .ensemble import (
@@ -71,6 +73,8 @@ def poisson_mixture_pmf(mus: np.ndarray, k_max: int) -> np.ndarray:
     the exponential, so mu = 0 gives the exact delta at k = 0 instead of
     the 0 * log 0 = NaN of the product.
     """
+    from scipy.special import gammaln
+
     mus = np.asarray(mus, dtype=float)
     k = np.arange(k_max + 1, dtype=float)
     buf = np.empty((mus.size, k.size))

@@ -25,6 +25,10 @@ complex scalar per field.
 Time domain: the same transport is integrated brute-force from the four
 coupled amplitudes (photon, intermediate P, source Rydberg S, and the
 gate-source P-pair component) as an independent oracle.
+
+The two reference solvers import scipy (`quad`, `expm`) on first call,
+so importing this module, and the pipelines that use only
+`transmission_batch`, load numpy alone.
 """
 
 from __future__ import annotations
@@ -34,8 +38,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import expm
 
 from .atomic_states import forster_defect
 from .errors import ConfigError, NumericsError
@@ -201,6 +203,8 @@ def transmission_freq(
     sits at the 3D point `gate_position`.  The complex exponent is
     integrated by adaptive quadrature with relative tolerance `rtol`.
     """
+    from scipy.integrate import quad
+
     gamma_p = interaction.gamma_p if interaction is not None else 0.0
     _check_validity(params, gamma_p)
     b = np.atleast_1d(np.asarray(path_offset, dtype=float))
@@ -331,6 +335,8 @@ def transmission_time_oracle(
     pulse at the carrier detuning is ramped in; the transmitted amplitude
     is demodulated over the trailing part of the run.
     """
+    from scipy.linalg import expm
+
     span = params.z_extent
     if dz is None:
         dz = params.cloud_half_length / 80.0

@@ -23,6 +23,16 @@ from rydsim.presets import load_pair_system, parse_channel_file, parse_level
 _SHORTHAND = ("--set", "field_start=0.7", "--set", "field_stop=0.72")
 
 
+def _run_python(code: str) -> str:
+    """Stdout of `code` run in a fresh interpreter that imports this rydsim."""
+    src = str(Path(rydsim.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    return result.stdout.strip()
+
+
 class TestLoadConfig:
     def test_defaults_without_file(self):
         cfg = load_config(None, "gain-scan")
@@ -292,6 +302,10 @@ class TestCli:
             ("gain-scan", ["--set", "field_start=0.7", "--set", "field_stop=inf",
                            "--set", "field_points=3"],
              "field_stop must be finite"),
+            ("gain-scan", ["--set", "field_grid=0.71", "--set", "cloud_radius=1e-300"],
+             "both must be finite and > 0"),
+            ("gain-scan", ["--set", "field_grid=0.71", "--set", "cloud_radius=1e300"],
+             "both must be finite and > 0"),
         ],
     )
     def test_bad_scan_input_exits_with_config_code(self, tmp_path, scan, args,
@@ -322,16 +336,44 @@ class TestCli:
         summary = json.loads(text, parse_constant=reject)
         assert summary["headline"]["retrieval_at_one_scattered"] is None
 
-    def test_cli_import_skips_scipy_stats(self):
-        # importing scipy.stats costs about 0.5 s of every sim start-up
+    @pytest.mark.parametrize("scan", SCAN_TYPES)
+    def test_cli_start_up_imports_no_scipy(self, scan):
+        # scipy costs 0.6-1 s of every sim start-up; only the reference
+        # solvers and the Poisson mixture import it, on first call
         code = ("import sys, rydsim.cli; "
-                "print('scipy.stats' in sys.modules)")
-        src = str(Path(rydsim.__file__).resolve().parents[1])
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": src}, check=True,
-        )
-        assert result.stdout.strip() == "False"
+                "from rydsim.config import build_setup, load_config; "
+                f"build_setup(load_config(None, {scan!r})); "
+                "print('scipy.stats' in sys.modules, "
+                "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert _run_python(code) == "False []"
+
+    @pytest.mark.parametrize(
+        "scan, overrides, loaded, absent",
+        [
+            ("gain-scan", {"samples": 50, "field_grid": "0.71"}, [], ["scipy"]),
+            ("retrieval", {"retrieval_offsets": 1, "spinwave_points": 11},
+             [], ["scipy"]),
+            ("starkmap", {}, [], ["scipy"]),
+            ("fidelity-scan", {"samples": 20, "field_grid": "0.70,0.71",
+                               "rate_grid": "10"},
+             ["scipy.special"],
+             ["scipy.integrate", "scipy.optimize", "scipy.linalg"]),
+        ],
+        ids=["gain-scan", "retrieval", "starkmap", "fidelity-scan"],
+    )
+    def test_pipeline_imports_only_the_scipy_it_calls(self, tmp_path, scan,
+                                                      overrides, loaded,
+                                                      absent):
+        overrides = {**overrides, "output_dir": str(tmp_path)}
+        names = [*loaded, *absent]
+        code = ("import io, sys; "
+                "from rydsim.config import load_config; "
+                "from rydsim.runner import run_experiment; "
+                f"run_experiment(load_config(None, {scan!r}, {overrides!r}), "
+                "log=io.StringIO()); "
+                f"print([m in sys.modules for m in {names!r}])")
+        expected = [True] * len(loaded) + [False] * len(absent)
+        assert _run_python(code) == str(expected)
 
     def test_non_finite_fidelity_exits_with_numerics_code(self, tmp_path,
                                                           monkeypatch):
