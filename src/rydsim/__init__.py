@@ -21,7 +21,6 @@ from .ensemble import (
 from .interaction import (
     InteractionParams,
     blockade_radius,
-    dipole_hamiltonian,
     hopping_suppression,
 )
 from .propagation import (

@@ -1,30 +1,29 @@
-"""Dipole-dipole pair Hamiltonian and the adiabatically eliminated
-effective gate-source potential.
+"""Effective gate-source potential of the dipole-coupled pair states.
 
-In the four-state pair basis {|SS>, |PP>, |P'P'>, |S'S'>} the dipolar
-Hamiltonian is (1/r^3) times a fixed symmetric coupling pattern with
-direct coupling C3 and hopping coupling C3'.  After eliminating the
-P-pair amplitudes the source polariton sees the complex potential
+The gate-source pair couples through the dipolar interaction, (1/r^3)
+times a direct coupling C3 per Förster channel and a hopping coupling
+C3'.  After eliminating the P-pair amplitudes the source polariton sees
+the complex potential
 
     V_ef(r) = sum_alpha  C3_alpha^2 / (defect_alpha - omega - i*gamma_p)
               / (r - r_gate)^6
 
 which is van der Waals shaped at every field; on resonance the
 prefactor is purely imaginary (dissipative) with magnitude C3^2/gamma_p.
+The hopping coupling enters only through `hopping_suppression`, the
+ratio C3'/C3 that the fixed-gate approximation needs to be small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .atomic_states import forster_defect
 
 
 @dataclass(frozen=True)
 class InteractionParams:
-    """Everything entering the pair Hamiltonian and V_ef.
+    """Couplings, P-pair decay and Förster channels of the gate-source pair.
 
     All couplings in angular units: c3, c3_prime in rad/us * um^3,
     gamma_p in rad/us, c6_reference in rad/us * um^6 (zero-field van der
@@ -42,23 +41,6 @@ class InteractionParams:
         for name in ("c3", "c3_prime", "gamma_p", "c6_reference"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-
-
-def dipole_hamiltonian(r: float, params: InteractionParams) -> np.ndarray:
-    """4x4 pair Hamiltonian at separation r (um), in rad/us."""
-    if r <= 0:
-        raise ValueError(f"separation must be > 0, got {r}")
-    c3, c3p = params.c3, params.c3_prime
-    h = np.array(
-        [
-            [0.0, c3, c3p, 0.0],
-            [c3, 0.0, 0.0, c3p],
-            [c3p, 0.0, 0.0, c3],
-            [0.0, c3p, c3, 0.0],
-        ],
-        dtype=complex,
-    )
-    return h / r**3
 
 
 def effective_c6(omega: float, field: float, params: InteractionParams) -> complex:

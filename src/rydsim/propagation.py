@@ -50,6 +50,11 @@ R_MIN = 0.5
 # Uniform points of the graded grid before the refinement around the gate.
 _GRID_BASE_POINTS = 161
 
+# Refinement offsets about each gate (um): 0 and +-geomspace(0.05, 25, 36).
+_GRID_GATE_OFFSETS = np.concatenate(
+    [-np.geomspace(0.05, 25.0, 36)[::-1], [0.0], np.geomspace(0.05, 25.0, 36)]
+)
+
 _SQRT_PI = np.sqrt(np.pi)
 
 
@@ -238,15 +243,8 @@ def transmission_freq(
 def _graded_grid(z_extent: float, gate_z):
     """Per-sample z grids: uniform base plus refinement around each gate."""
     base = np.linspace(-z_extent, z_extent, _GRID_BASE_POINTS)
-    offsets = np.concatenate(
-        [
-            -np.geomspace(0.05, 25.0, 36)[::-1],
-            [0.0],
-            np.geomspace(0.05, 25.0, 36),
-        ]
-    )
     gate_z = np.atleast_1d(np.asarray(gate_z, dtype=float))
-    grids = gate_z[:, None] + offsets[None, :]
+    grids = gate_z[:, None] + _GRID_GATE_OFFSETS[None, :]
     full = np.concatenate(
         [np.broadcast_to(base, (gate_z.size, base.size)), grids], axis=1
     )

@@ -136,10 +136,14 @@ def photon_channel(
     norm = np.where(norm > 0, norm, 1.0)
     weights = weights / norm[:, None]
     lost = np.clip(1.0 - np.abs(t) ** 2, 0.0, None)
-    # cumulative propagation phase up to each scattering point
+    # cumulative propagation phase up to each scattering point; exp(i*phase)
+    # is written as real cos/sin into one complex buffer, then scaled
     phase = np.cumsum(chi.real * dz[None, :], axis=1) / params.c
-    scatter = (np.sqrt(lost[:, None] * weights) * np.exp(1j * phase)).T
-    return PhotonChannel(grid=grid, transmit=t, scatter=scatter)
+    scatter = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=scatter.real)
+    np.sin(phase, out=scatter.imag)
+    scatter *= np.sqrt(lost[:, None] * weights)
+    return PhotonChannel(grid=grid, transmit=t, scatter=scatter.T)
 
 
 def apply_channel(
@@ -207,19 +211,37 @@ def retrieval_efficiency_curve(
     probability (see `transverse_channels`); offsets are averaged with
     equal weights.  Readout projects back on the initial stored mode and
     the intrinsic coherence decay exp(-t_store/tau) factorizes out.
+
+    The Poisson average is evaluated in real arithmetic on the upper
+    triangle: w = psi rho psi is real symmetric and each D is Hermitian,
+    so Re sum w exp(mu (D - 1)) is the diagonal plus twice the strict
+    upper triangle of w exp(mu (Re D - 1)) cos(mu Im D).  Raises
+    `NumericsError` when a D is not Hermitian or w is not real within
+    1e-10, where that form would not hold.
     """
     source_means = np.asarray(source_means, dtype=float)
     eta_base = eta0 * math.exp(-storage_time / state.intrinsic_lifetime)
     psi = np.sqrt(np.real(np.diag(state.rho)))  # real by construction
     w = psi[:, None] * state.rho * psi[None, :]
+    if np.max(np.abs(w.imag)) > 1e-10:
+        raise NumericsError("retrieval overlap weights psi*rho*psi are not real")
 
     # k photons apply D elementwise k times, and the Poisson average over
     # k is exact: sum_k Poisson(k; mu) D^k = exp(mu (D - 1)).
+    upper = np.triu_indices(w.shape[0])
+    w_upper = w.real[upper]
+    w_upper[upper[0] != upper[1]] *= 2.0
     overlap = np.empty((len(decoherence), source_means.size))
     for ic, d in enumerate(decoherence):
-        d_less_one = d - 1.0
+        if np.max(np.abs(d - d.conj().T)) > 1e-10:
+            raise NumericsError(f"decoherence matrix {ic} is not Hermitian")
+        d_upper = d[upper]
+        re_less_one = d_upper.real - 1.0
+        d_imag = d_upper.imag.copy()
         for im, mean in enumerate(source_means):
-            overlap[ic, im] = float(np.sum(w * np.exp(mean * d_less_one)).real)
+            term = np.exp(mean * re_less_one)
+            term *= np.cos(mean * d_imag)
+            overlap[ic, im] = float(w_upper @ term)
     weight = 1.0 / len(decoherence)
     efficiency = eta_base * np.sum(weight * overlap, axis=0)
     n_scattered = np.sum(weight * source_means * p_scatter[:, None], axis=0)

@@ -1,4 +1,4 @@
-"""Pair Hamiltonian eigenstructure and the effective gate-source potential."""
+"""The effective gate-source potential and its blockade scales."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from rydsim.atomic_states import PairChannel, RydbergLevel
 from rydsim.interaction import (
     InteractionParams,
     blockade_radius,
-    dipole_hamiltonian,
     effective_c6,
     hopping_suppression,
 )
@@ -24,32 +23,6 @@ def _channel(d0_mhz, alpha_mhz, c3, weight=1.0):
         c3=c3,
         weight=weight,
     )
-
-
-class TestDipoleHamiltonian:
-    def test_eigenvalues_are_bright_dark_pairs(self, rng):
-        # independent oracle: the 4x4 coupling pattern splits into
-        # eigenvalues +-(c3 + c3')/r^3 and +-(c3 - c3')/r^3
-        for _ in range(25):
-            c3 = rng.uniform(1.0, 500.0)
-            c3p = rng.uniform(0.0, c3)
-            r = rng.uniform(0.5, 30.0)
-            params = InteractionParams(c3=c3, c3_prime=c3p, gamma_p=1.0)
-            evals = np.sort(np.linalg.eigvalsh(dipole_hamiltonian(r, params)))
-            expected = np.sort(
-                [-(c3 + c3p), -(c3 - c3p), (c3 - c3p), (c3 + c3p)]
-            ) / r**3
-            assert np.allclose(evals, expected, rtol=1e-10)
-
-    def test_hermitian(self):
-        params = InteractionParams(c3=10.0, c3_prime=3.0, gamma_p=1.0)
-        h = dipole_hamiltonian(2.0, params)
-        assert np.allclose(h, h.conj().T)
-
-    def test_rejects_nonpositive_separation(self):
-        params = InteractionParams(c3=10.0, c3_prime=3.0, gamma_p=1.0)
-        with pytest.raises(ValueError):
-            dipole_hamiltonian(0.0, params)
 
 
 class TestEffectivePotential:

@@ -225,6 +225,76 @@ class TestDenseKernels:
                 mean * np.mean(p_scatter), rel=1e-15, abs=0.0)
 
 
+def _full_matrix_efficiency(state, decoherence, means, eta0, storage_time):
+    """The Poisson average as the complex full-matrix sum Re sum w exp(mu(D-1))."""
+    psi = np.sqrt(np.real(np.diag(state.rho)))
+    w = psi[:, None] * state.rho * psi[None, :]
+    eta_base = eta0 * np.exp(-storage_time / state.intrinsic_lifetime)
+    return np.array([
+        eta_base * np.mean([float(np.sum(w * np.exp(mu * (d - 1.0))).real)
+                            for d in decoherence])
+        for mu in means
+    ])
+
+
+class TestTriangleForm:
+    """The real upper-triangle evaluation against the complex full matrix."""
+
+    means = np.array([0.0, 0.25, 1.0, 3.0, 10.0, 30.0, 66.0, 140.0])
+
+    def _check(self, state, decoherence):
+        rows = retrieval_efficiency_curve(state, decoherence,
+                                          np.zeros(len(decoherence)), self.means,
+                                          eta0=0.25, storage_time=4.2)
+        got = np.array([r.efficiency for r in rows])
+        ref = _full_matrix_efficiency(state, decoherence, self.means, 0.25, 4.2)
+        assert np.all(ref > 0.0)
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("at_resonance", [True, False])
+    def test_matches_full_matrix_on_transverse_channels(self, setup, at_resonance):
+        state = stored_spinwave(setup.geometry, n_points=61)
+        field = setup.resonance_field if at_resonance else 0.0
+        decoherence, _ = transverse_channels(
+            state, setup.geometry, setup.params, setup.interaction, field,
+            n_offsets=2, seed=0,
+        )
+        # on resonance V_ef is purely dissipative and D is real; off
+        # resonance the propagation phases make it complex
+        assert (np.max(np.abs(decoherence.imag)) > 1e-3) != at_resonance
+        self._check(state, decoherence)
+
+    def test_matches_full_matrix_on_synthetic_hermitian(self, setup, rng):
+        state = stored_spinwave(setup.geometry, n_points=61)
+        n = state.grid.size
+        ds = []
+        for _ in range(3):
+            # Hermitian, unit diagonal, |D| <= 1 off the diagonal
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            d = (a @ a.conj().T) / n
+            norm = np.sqrt(np.real(np.diag(d)))
+            ds.append(d / np.outer(norm, norm))
+        decoherence = np.array(ds)
+        hermitian_err = decoherence - decoherence.conj().transpose(0, 2, 1)
+        assert np.max(np.abs(hermitian_err)) <= 1e-12
+        self._check(state, decoherence)
+
+    def test_non_hermitian_decoherence_raises(self, setup):
+        state = stored_spinwave(setup.geometry, n_points=21)
+        d = np.ones((21, 21), dtype=complex)
+        d[3, 5] += 1e-6j  # no matching conjugate at [5, 3]
+        with pytest.raises(NumericsError, match="not Hermitian"):
+            retrieval_efficiency_curve(state, d[None], np.zeros(1), [1.0], eta0=0.2)
+
+    def test_complex_overlap_weights_raise(self):
+        grid = np.linspace(-1.0, 1.0, 5)
+        amp = np.exp(1j * grid) / np.sqrt(5.0)  # a pure state with phases
+        state = SpinWaveState(grid=grid, rho=np.outer(amp, amp.conj()))
+        d = np.ones((5, 5), dtype=complex)
+        with pytest.raises(NumericsError, match="not real"):
+            retrieval_efficiency_curve(state, d[None], np.zeros(1), [1.0], eta0=0.2)
+
+
 class TestRetrievalCurve:
     def test_zero_source_efficiency_is_storage_decay_only(self, setup):
         state = stored_spinwave(setup.geometry, n_points=101)
