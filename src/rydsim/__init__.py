@@ -18,11 +18,7 @@ from .ensemble import (
     nondestructive_limit,
     optical_gain,
 )
-from .interaction import (
-    InteractionParams,
-    blockade_radius,
-    hopping_suppression,
-)
+from .interaction import InteractionParams, blockade_radius
 from .propagation import (
     PropagationParams,
     TransmissionResult,

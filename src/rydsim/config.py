@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -22,10 +23,10 @@ from .atomic_states import PairConfig, channel_set, resonance_fields
 from .detection import count_window
 from .ensemble import ExperimentGeometry, PhotonStats
 from .errors import ConfigError
-from .interaction import InteractionParams, effective_c6
+from .interaction import InteractionParams
 from .presets import load_pair_system
 from .propagation import PropagationParams
-from .units import C_LIGHT, from_mhz
+from .units import C_LIGHT, from_mhz, to_mhz
 
 SCAN_TYPES = ("starkmap", "gain-scan", "fidelity-scan", "retrieval", "oracle-check")
 
@@ -318,16 +319,18 @@ def build_setup(config: RunConfig) -> SimulationSetup:
     )
     # the channels resonance_fields sees, so V_ef and the Stark map agree
     channels = tuple(channel_set(pair))
+    # the fixed-gate model needs hopping C3' << C3; as a product, c3 = 0
+    # needs no special case
     c3_main = max((ch.c3 for ch in channels), default=0.0)
-    c6_ref = abs(effective_c6(0.0, 0.0, InteractionParams(
-        c3=c3_main, c3_prime=0.0, gamma_p=0.0, channels=channels)))
-    interaction = InteractionParams(
-        c3=c3_main,
-        c3_prime=extras["c3_prime"],
-        gamma_p=extras["gamma_p"],
-        channels=channels,
-        c6_reference=c6_ref,
-    )
+    if extras["c3_prime"] > 0.1 * c3_main:
+        warnings.warn(
+            f"pair system {config.pair_system!r}: hopping coupling c3_prime = "
+            f"{to_mhz(extras['c3_prime']):.3g} MHz um^3 exceeds 0.1 * c3 = "
+            f"{to_mhz(0.1 * c3_main):.3g} MHz um^3; the fixed-gate "
+            "approximation degrades here",
+            stacklevel=2,
+        )
+    interaction = InteractionParams(gamma_p=extras["gamma_p"], channels=channels)
     stats = PhotonStats(
         gate_mean_in=config.gate_mean_in,
         source_rate=config.source_rate,

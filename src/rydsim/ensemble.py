@@ -34,10 +34,10 @@ _DROP_LIMIT = 0.1
 class ExperimentGeometry:
     """Beam and cloud geometry (lengths in um)."""
 
-    beam_waist: float = 6.2
-    cloud_half_length: float = 40.0
-    cloud_radius: float = 10.0
-    atom_number: float = 2.0e4
+    beam_waist: float
+    cloud_half_length: float
+    cloud_radius: float
+    atom_number: float
 
     def __post_init__(self):
         for name in ("beam_waist", "cloud_half_length", "cloud_radius", "atom_number"):
@@ -65,12 +65,12 @@ class ExperimentGeometry:
 class PhotonStats:
     """Photon input/output statistics and phenomenological dephasing."""
 
-    gate_mean_in: float = 1.0
-    source_rate: float = 35.0
-    pulse_length: float = 20.0
-    storage_efficiency: float = 0.6
-    detector_efficiency: float = 0.3
-    dephasing_per_photon: float = 0.0
+    gate_mean_in: float
+    source_rate: float
+    pulse_length: float
+    storage_efficiency: float
+    detector_efficiency: float
+    dephasing_per_photon: float
 
     def __post_init__(self):
         for name in ("storage_efficiency", "detector_efficiency"):
@@ -235,10 +235,13 @@ def nondestructive_limit(
 
     Stationary excitations accumulate as p_deph * R * T * (1 - T0); each
     suppresses transmission by the same factor T1/T0 as a gate excitation.
+    A fully blocking excitation (T1 = 0) allows none: the limit is 0.
     """
     p = stats.dephasing_per_photon
     if p == 0.0 or t1 >= t0 or t0 >= 1.0:
         return rate_ceiling
+    if t1 == 0.0:
+        return 0.0
     n_max = math.log(1.0 - _DROP_LIMIT) / math.log(t1 / t0)
     rate = n_max / (p * stats.pulse_length * (1.0 - t0))
     return min(rate, rate_ceiling)

@@ -1,17 +1,18 @@
 """Effective gate-source potential of the dipole-coupled pair states.
 
 The gate-source pair couples through the dipolar interaction, (1/r^3)
-times a direct coupling C3 per Förster channel and a hopping coupling
-C3'.  After eliminating the P-pair amplitudes the source polariton sees
-the complex potential
+times a direct coupling C3 per Förster channel.  After eliminating the
+P-pair amplitudes the source polariton sees the complex potential
 
     V_ef(r) = sum_alpha  C3_alpha^2 / (defect_alpha - omega - i*gamma_p)
               / (r - r_gate)^6
 
 which is van der Waals shaped at every field; on resonance the
 prefactor is purely imaginary (dissipative) with magnitude C3^2/gamma_p.
-The hopping coupling enters only through `hopping_suppression`, the
-ratio C3'/C3 that the fixed-gate approximation needs to be small.
+`InteractionParams` is (gamma_p, channels): each channel carries its own
+C3.  The hopping coupling C3' of a channel file does not enter V_ef; it
+feeds only the fixed-gate check in `config.build_setup`, which warns
+unless C3' is small next to the largest C3.
 """
 
 from __future__ import annotations
@@ -23,24 +24,16 @@ from .atomic_states import forster_defect
 
 @dataclass(frozen=True)
 class InteractionParams:
-    """Couplings, P-pair decay and Förster channels of the gate-source pair.
+    """P-pair decay rate `gamma_p` (rad/us) and the Förster channels of
+    the gate-source pair."""
 
-    All couplings in angular units: c3, c3_prime in rad/us * um^3,
-    gamma_p in rad/us, c6_reference in rad/us * um^6 (zero-field van der
-    Waals coefficient, used for blockade-radius reporting only).
-    """
-
-    c3: float
-    c3_prime: float
     gamma_p: float
     channels: tuple = ()
-    c6_reference: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(self.channels))
-        for name in ("c3", "c3_prime", "gamma_p", "c6_reference"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if self.gamma_p < 0:
+            raise ValueError("gamma_p must be >= 0")
 
 
 def effective_c6(omega: float, field: float, params: InteractionParams) -> complex:
@@ -63,10 +56,3 @@ def blockade_radius(c6: float, gamma: float, omega_rabi: float) -> float:
     if c6 <= 0 or gamma <= 0 or omega_rabi <= 0:
         raise ValueError("blockade_radius requires strictly positive inputs")
     return (gamma * c6 / omega_rabi**2) ** (1.0 / 6.0)
-
-
-def hopping_suppression(params: InteractionParams) -> float:
-    """Ratio C3'/C3; the fixed-gate approximation needs this << 1."""
-    if params.c3 == 0:
-        raise ValueError("hopping suppression undefined for c3 = 0")
-    return params.c3_prime / params.c3

@@ -10,6 +10,7 @@ into the output files.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -27,7 +28,7 @@ from .atomic_states import (
 )
 from .config import SCHEMA_VERSION, RunConfig, SimulationSetup, build_setup
 from .errors import NumericsError
-from .interaction import InteractionParams, blockade_radius
+from .interaction import InteractionParams, blockade_radius, effective_c6
 from .propagation import (
     PropagationParams,
     transmission_freq,
@@ -138,10 +139,7 @@ def run_retrieval(setup: SimulationSetup, out_dir: Path) -> dict:
     field = cfg.retrieval_field
     if field < 0:
         field = setup.resonance_field
-    state = spinwave.stored_spinwave(
-        setup.geometry, n_points=cfg.spinwave_points,
-        intrinsic_lifetime=cfg.intrinsic_lifetime,
-    )
+    state = spinwave.stored_spinwave(setup.geometry, n_points=cfg.spinwave_points)
     params = setup.params
     means = np.asarray(cfg.source_means, dtype=float)
     eta_base = cfg.retrieval_eta0 * math.exp(-cfg.storage_time / cfg.intrinsic_lifetime)
@@ -152,17 +150,18 @@ def run_retrieval(setup: SimulationSetup, out_dir: Path) -> dict:
             n_offsets=cfg.retrieval_offsets, seed=cfg.seed,
         )
         rows = spinwave.retrieval_efficiency_curve(
-            state, decoherence, p_scatter, means, cfg.retrieval_eta0,
-            cfg.storage_time,
+            state, decoherence, p_scatter, means, eta_base,
         )
         if variant == "model":
             model_rows, model_p_scatter = rows, float(p_scatter.mean())
         for r in rows:
             all_rows.append([r.n_in_mean, r.n_scattered_mean, r.efficiency,
                              variant])
+    # zero-field van der Waals coefficient of the kept channels
+    c6_ref = abs(effective_c6(
+        0.0, 0.0, dataclasses.replace(setup.interaction, gamma_p=0.0)))
     r_b = blockade_radius(
-        max(abs(setup.interaction.c6_reference), 1e-12),
-        setup.params.gamma, setup.params.omega_rabi,
+        max(c6_ref, 1e-12), setup.params.gamma, setup.params.omega_rabi,
     )
     frac = spinwave.blockade_beam_fraction(r_b, setup.geometry.beam_waist)
     for r in spinwave.limit_curves(means, model_p_scatter, eta_base, frac):
@@ -213,9 +212,7 @@ def _oracle_parameter_sets(setup: SimulationSetup, rng: np.random.Generator):
             defect_zero_field=defect, diff_polarizability=0.0,
             zeeman_shift=0.0, c3=c3, weight=1.0,
         )
-        inter = InteractionParams(
-            c3=c3, c3_prime=0.0, gamma_p=gamma_p, channels=(channel,),
-        )
+        inter = InteractionParams(gamma_p=gamma_p, channels=(channel,))
         sets.append((params, inter, gate_z))
     return sets
 
@@ -228,10 +225,7 @@ def run_oracle_check(setup: SimulationSetup, out_dir: Path) -> dict:
         i_freq = transmission_freq(
             (0.0, 0.0), (0.0, 0.0, gate_z), params, inter, field=0.0
         ).intensity
-        i_time = transmission_time_oracle(
-            params, inter, field=0.0, gate_z=gate_z,
-            dz=min(params.cloud_half_length / 60.0, 0.35),
-        ).intensity
+        i_time = transmission_time_oracle(params, inter, gate_z).intensity
         diff = abs(i_freq - i_time)
         max_diff = max(max_diff, diff)
         rows.append([idx, i_freq, i_time, diff])

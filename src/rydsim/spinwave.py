@@ -38,7 +38,6 @@ class SpinWaveState:
 
     grid: np.ndarray
     rho: np.ndarray
-    intrinsic_lifetime: float = 3.6
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=complex)
@@ -80,18 +79,14 @@ def _scatter_overlap(scatter: np.ndarray) -> np.ndarray:
     return scatter.T @ scatter.conj()
 
 
-def stored_spinwave(
-    geometry: ExperimentGeometry,
-    n_points: int = 201,
-    intrinsic_lifetime: float = 3.6,
-) -> SpinWaveState:
+def stored_spinwave(geometry: ExperimentGeometry, n_points: int = 201) -> SpinWaveState:
     """Pure stored state with |psi(z)|^2 proportional to the density."""
     half = _SPAN_FACTOR * geometry.cloud_half_length
     grid = np.linspace(-half, half, n_points)
     amp = np.exp(-(grid**2) / (2.0 * geometry.cloud_half_length**2))
     amp = amp / np.linalg.norm(amp)
     rho = np.outer(amp, amp.conj())
-    return SpinWaveState(grid=grid, rho=rho, intrinsic_lifetime=intrinsic_lifetime)
+    return SpinWaveState(grid=grid, rho=rho)
 
 
 def photon_channel(
@@ -155,10 +150,7 @@ def apply_channel(
     p_s = float(np.trace(rho_s).real)
     rho_f = rho_p + rho_s
     rho_f = rho_f / np.trace(rho_f).real
-    new = SpinWaveState(
-        grid=state.grid, rho=rho_f, intrinsic_lifetime=state.intrinsic_lifetime
-    )
-    return new, p_t, p_s
+    return SpinWaveState(grid=state.grid, rho=rho_f), p_t, p_s
 
 
 def channel_branches(
@@ -200,8 +192,7 @@ def retrieval_efficiency_curve(
     decoherence: np.ndarray,
     p_scatter: np.ndarray,
     source_means: Sequence[float],
-    eta0: float,
-    storage_time: float = 4.2,
+    eta_base: float,
 ) -> list:
     """Retrieval efficiency versus mean source photon number.
 
@@ -209,8 +200,10 @@ def retrieval_efficiency_curve(
     per-photon channel once.  `decoherence[i]` is the per-photon matrix D
     of stored-gate offset i and `p_scatter[i]` its gate-caused scatter
     probability (see `transverse_channels`); offsets are averaged with
-    equal weights.  Readout projects back on the initial stored mode and
-    the intrinsic coherence decay exp(-t_store/tau) factorizes out.
+    equal weights.  Readout projects back on the initial stored mode;
+    `eta_base` is the efficiency with no source photons, the retrieval
+    efficiency eta0 times the intrinsic coherence decay exp(-t_store/tau),
+    which factorizes out.
 
     The Poisson average is evaluated in real arithmetic on the upper
     triangle: w = psi rho psi is real symmetric and each D is Hermitian,
@@ -220,7 +213,6 @@ def retrieval_efficiency_curve(
     1e-10, where that form would not hold.
     """
     source_means = np.asarray(source_means, dtype=float)
-    eta_base = eta0 * math.exp(-storage_time / state.intrinsic_lifetime)
     psi = np.sqrt(np.real(np.diag(state.rho)))  # real by construction
     w = psi[:, None] * state.rho * psi[None, :]
     if np.max(np.abs(w.imag)) > 1e-10:

@@ -336,6 +336,21 @@ class TestCli:
         summary = json.loads(text, parse_constant=reject)
         assert summary["headline"]["retrieval_at_one_scattered"] is None
 
+    def test_fully_blocking_gate_exits_zero(self, tmp_path):
+        # a vanishing transparency-window loss makes the resonant gate block
+        # every sampled photon (t1 = 0); the rate limit is then 0
+        runner = CliRunner()
+        result = runner.invoke(main, [
+            "gain-scan", "--samples", "50", "--set", "field_grid=0.71",
+            "--set", "g0=3e7", "--set", "gamma_s_mhz=1e-12",
+            "--out", str(tmp_path),
+        ])
+        assert result.exit_code == 0, result.output
+        _, row = (tmp_path / "gain_scan.csv").read_text().splitlines()
+        assert float(row.split(",")[4]) == 0.0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["headline"]["nondestructive_rate_limit"] == 0.0
+
     @pytest.mark.parametrize("scan", SCAN_TYPES)
     def test_cli_start_up_imports_no_scipy(self, scan):
         # scipy costs 0.6-1 s of every sim start-up; only the reference

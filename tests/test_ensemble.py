@@ -151,6 +151,10 @@ class TestNondestructiveLimit:
         stats = _stats(dephasing_per_photon=1e-9)
         assert nondestructive_limit(stats, 0.776, 0.462, rate_ceiling=35.0) == 35.0
 
+    def test_fully_blocking_gate_allows_no_rate(self):
+        # T1 = 0 is the T1 -> 0+ limit of log(0.9)/log(T1/T0), not a log(0)
+        assert nondestructive_limit(_stats(), 0.9, 0.0) == 0.0
+
 
 class TestPhotonStats:
     def test_efficiency_bounds_enforced(self):

@@ -30,7 +30,7 @@ def _resonant_interaction(c3, gamma_p):
         diff_polarizability=from_mhz(1.0),
         c3=c3,
     )
-    return InteractionParams(c3=c3, c3_prime=0.0, gamma_p=gamma_p, channels=[ch])
+    return InteractionParams(gamma_p=gamma_p, channels=[ch])
 
 
 class TestAnalyticLimits:
@@ -130,7 +130,7 @@ class TestBatchSolver:
         # the graded grid carries only the blockade term, so without
         # channels the gated solver returns eit_baseline at every gate
         params = dataclasses.replace(setup.params, profile=profile)
-        free = InteractionParams(c3=0.0, c3_prime=0.0, gamma_p=0.0)
+        free = InteractionParams(gamma_p=0.0)
         n = 40
         offsets = rng.normal(0.0, 3.5, size=(n, 2))
         gates = np.column_stack(

@@ -27,6 +27,10 @@ from rydsim.spinwave import (
     uhlmann_fidelity,
 )
 
+# zero-source retrieval efficiency at the config defaults: eta0 = 0.25 after
+# a 4.2 us storage at a 3.6 us intrinsic lifetime
+_ETA_BASE = 0.25 * np.exp(-4.2 / 3.6)
+
 
 def _random_density(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -205,7 +209,7 @@ class TestDenseKernels:
         )
         means = np.array([0.0, 0.5, 3.0, 20.0, 66.0, 140.0])
         rows = retrieval_efficiency_curve(state, decoherence, p_scatter, means,
-                                          eta0=0.25, storage_time=4.2)
+                                          eta_base=_ETA_BASE)
 
         # sum_k Poisson(k; mu) <psi| D^k o rho |psi>, truncated far in the tail
         psi = np.sqrt(np.real(np.diag(state.rho)))
@@ -216,20 +220,18 @@ class TestDenseKernels:
             for k in range(k_max + 1):
                 overlap[ic, k] = np.real(psi @ ((dk * state.rho) @ psi))
                 dk = dk * d
-        eta_base = 0.25 * np.exp(-4.2 / state.intrinsic_lifetime)
         for row, mean in zip(rows, means):
             pk = stats.poisson.pmf(np.arange(k_max + 1), mean)
-            ref = eta_base * np.mean(overlap @ pk)
+            ref = _ETA_BASE * np.mean(overlap @ pk)
             assert row.efficiency == pytest.approx(ref, rel=1e-12, abs=0.0)
             assert row.n_scattered_mean == pytest.approx(
                 mean * np.mean(p_scatter), rel=1e-15, abs=0.0)
 
 
-def _full_matrix_efficiency(state, decoherence, means, eta0, storage_time):
+def _full_matrix_efficiency(state, decoherence, means, eta_base):
     """The Poisson average as the complex full-matrix sum Re sum w exp(mu(D-1))."""
     psi = np.sqrt(np.real(np.diag(state.rho)))
     w = psi[:, None] * state.rho * psi[None, :]
-    eta_base = eta0 * np.exp(-storage_time / state.intrinsic_lifetime)
     return np.array([
         eta_base * np.mean([float(np.sum(w * np.exp(mu * (d - 1.0))).real)
                             for d in decoherence])
@@ -245,9 +247,9 @@ class TestTriangleForm:
     def _check(self, state, decoherence):
         rows = retrieval_efficiency_curve(state, decoherence,
                                           np.zeros(len(decoherence)), self.means,
-                                          eta0=0.25, storage_time=4.2)
+                                          eta_base=_ETA_BASE)
         got = np.array([r.efficiency for r in rows])
-        ref = _full_matrix_efficiency(state, decoherence, self.means, 0.25, 4.2)
+        ref = _full_matrix_efficiency(state, decoherence, self.means, _ETA_BASE)
         assert np.all(ref > 0.0)
         assert np.max(np.abs(got / ref - 1.0)) <= 1e-13
 
@@ -284,7 +286,7 @@ class TestTriangleForm:
         d = np.ones((21, 21), dtype=complex)
         d[3, 5] += 1e-6j  # no matching conjugate at [5, 3]
         with pytest.raises(NumericsError, match="not Hermitian"):
-            retrieval_efficiency_curve(state, d[None], np.zeros(1), [1.0], eta0=0.2)
+            retrieval_efficiency_curve(state, d[None], np.zeros(1), [1.0], eta_base=0.2)
 
     def test_complex_overlap_weights_raise(self):
         grid = np.linspace(-1.0, 1.0, 5)
@@ -292,7 +294,7 @@ class TestTriangleForm:
         state = SpinWaveState(grid=grid, rho=np.outer(amp, amp.conj()))
         d = np.ones((5, 5), dtype=complex)
         with pytest.raises(NumericsError, match="not real"):
-            retrieval_efficiency_curve(state, d[None], np.zeros(1), [1.0], eta0=0.2)
+            retrieval_efficiency_curve(state, d[None], np.zeros(1), [1.0], eta_base=0.2)
 
 
 class TestRetrievalCurve:
@@ -300,11 +302,9 @@ class TestRetrievalCurve:
         state = stored_spinwave(setup.geometry, n_points=101)
         d = _identity_channel(state.grid).decoherence_matrix
         rows = retrieval_efficiency_curve(
-            state, d[None], np.zeros(1), [0.0], eta0=0.2, storage_time=4.2,
+            state, d[None], np.zeros(1), [0.0], eta_base=_ETA_BASE,
         )
-        assert rows[0].efficiency == pytest.approx(
-            0.2 * np.exp(-4.2 / state.intrinsic_lifetime), rel=1e-9
-        )
+        assert rows[0].efficiency == pytest.approx(_ETA_BASE, rel=1e-9)
         assert rows[0].n_scattered_mean == 0.0
 
     def test_monotone_decreasing_in_source_mean(self, setup):
@@ -314,7 +314,7 @@ class TestRetrievalCurve:
         _, _, p_s = apply_channel(state, ch)
         rows = retrieval_efficiency_curve(
             state, ch.decoherence_matrix[None], np.array([p_s]),
-            [0.0, 1.0, 4.0, 16.0, 64.0], eta0=0.2,
+            [0.0, 1.0, 4.0, 16.0, 64.0], eta_base=0.2,
         )
         effs = [r.efficiency for r in rows]
         assert all(b < a for a, b in zip(effs, effs[1:]))
@@ -335,8 +335,7 @@ class TestRetrievalCurve:
         resonant = PairChannel(gate_state=lvl, source_state=lvl,
                                defect_zero_field=0.0,
                                diff_polarizability=6.28, c3=10.0)
-        inter = InteractionParams(c3=10.0, c3_prime=0.0, gamma_p=0.94,
-                                  channels=(resonant,))
+        inter = InteractionParams(gamma_p=0.94, channels=(resonant,))
         means = [0.0, 0.5, 1.0, 2.0]
 
         def deviations(mode_half_length, n_points):
@@ -349,7 +348,7 @@ class TestRetrievalCurve:
             _, _, p_s = apply_channel(state, ch)
             rows = retrieval_efficiency_curve(
                 state, ch.decoherence_matrix[None], np.array([p_s]), means,
-                eta0=0.2,
+                eta_base=0.2,
             )
             base = rows[0].efficiency
             return [r.efficiency / (base * np.exp(-r.n_scattered_mean)) - 1.0
