@@ -102,8 +102,8 @@ def fidelity_scan(
     fields: Sequence[float],
     rates: Sequence[float],
     stats: PhotonStats,
-    n_samples: int = 2000,
-    seed: int = 0,
+    n_samples: int,
+    seed: int,
 ) -> list:
     """Detection fidelity over a (field, rate) grid.
 

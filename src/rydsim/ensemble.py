@@ -173,8 +173,8 @@ def field_scan(
     interaction: InteractionParams,
     fields: Sequence[float],
     stats: PhotonStats,
-    n_samples: int = 2000,
-    seed: int = 0,
+    n_samples: int,
+    seed: int,
 ) -> list:
     """Gain versus electric field, convolved with the field-resolution boxcar.
 

@@ -20,11 +20,18 @@ by adaptive quadrature as an independent reference.  Both evaluate the
 blockade term in one real-arithmetic kernel, `_blockade_kernel`: with
 V_ef = C/d^6 it is w / (a - i*beta), where w = g^2/d^6 and
 beta = gamma/d^6 do not depend on the field and a = Omega^2/C is one
-complex scalar per field.
+complex scalar per field.  `transmission_batch` runs its field loop over
+row blocks of about 2^16 cells, so the tables a block reads stay in cache
+while every field passes over them; rows are independent, so the result
+does not depend on the blocking.
 
 Time domain: the same transport is integrated brute-force from the four
 coupled amplitudes (photon, intermediate P, source Rydberg S, and the
-gate-source P-pair component) as an independent oracle.
+gate-source P-pair component) as an independent oracle.  Its cost is
+per-step overhead on short arrays, so `transmission_time_oracle` advances
+every parameter set it is given in one lockstep time loop over their
+concatenated grids; each set's amplitude is the same as from a call with
+that set alone.
 
 The two reference solvers import scipy (`quad`, `expm`) on first call,
 so importing this module, and the pipelines that use only
@@ -35,7 +42,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -54,6 +61,11 @@ _GRID_BASE_POINTS = 161
 _GRID_GATE_OFFSETS = np.concatenate(
     [-np.geomspace(0.05, 25.0, 36)[::-1], [0.0], np.geomspace(0.05, 25.0, 36)]
 )
+
+# Cells (rows x grid points) of one row block of `transmission_batch`'s
+# field loop: its q and v buffers and the w and beta rows they read stay in
+# cache across the fields (about 280 rows of the default 234-point grid).
+_BLOCK_CELLS = 2**16
 
 _SQRT_PI = np.sqrt(np.pi)
 
@@ -223,8 +235,17 @@ def transmission_freq(
         t_dist_sq = (bx - gx) ** 2 + (by - gy) ** 2
         pref = effective_c6(params.omega, field, interaction)
 
+    # quad(complex_func=True) integrates the real and imaginary parts in two
+    # passes over mostly the same nodes; each node's chi is computed once
+    chi_at = {}
+
     def integrand(z):
-        return chi_values(z, params, pref, gate_z, t_dist_sq, density_scale)
+        value = chi_at.get(z)
+        if value is None:
+            value = chi_at[z] = chi_values(
+                z, params, pref, gate_z, t_dist_sq, density_scale
+            )
+        return value
 
     span = params.z_extent
     points = None
@@ -272,9 +293,12 @@ def transmission_batch(
 
     The field enters only through the scalar `effective_c6`, so the grid
     and the real field-free terms w = (trapezoid weight) g^2/d^6 and
-    beta = gamma/d^6 are built once per call; each field then costs one
-    real `_blockade_kernel` pass in two reused (n x grid) buffers and
-    two row reductions.
+    beta = gamma/d^6 are built once per call, and every field's
+    a = Omega^2/C before the field loop.  The loop then runs over blocks
+    of at most `_BLOCK_CELLS` cells (whole rows) and, within a block,
+    over the fields: each field costs one real `_blockade_kernel` pass in
+    two reused block-sized buffers and two row reductions.  Rows are
+    independent, so the amplitudes are those of an unblocked loop.
     """
     offsets = np.asarray(offsets, dtype=float)
     n = offsets.shape[0]
@@ -301,40 +325,46 @@ def transmission_batch(
     w /= d6
     beta = np.divide(params.gamma, d6, out=z)
 
-    q = np.empty_like(w)
-    v = np.empty_like(w)
-    blockade = np.zeros((fields.size, n), dtype=complex)
+    field_a = []  # (field index, a) of every field with a blockade term
     for k, f in enumerate(fields.reshape(-1)):
         c6 = effective_c6(params.omega, float(f), interaction)
-        if c6 == 0.0:
-            continue
-        a = complex(params.omega_rabi**2 / c6)
-        _blockade_kernel(w, beta, a, q=q, v=v)
-        blockade[k].real = a.real * q.sum(axis=1)
-        blockade[k].imag = -np.einsum("ij,ij->i", q, v)
+        if c6 != 0.0:
+            field_a.append((k, complex(params.omega_rabi**2 / c6)))
+    rows = max(1, _BLOCK_CELLS // z.shape[1])
+    q = np.empty((min(rows, n), z.shape[1]))
+    v = np.empty_like(q)
+    blockade = np.zeros((fields.size, n), dtype=complex)
+    for lo in range(0, n, rows):
+        block = slice(lo, min(lo + rows, n))
+        w_b, beta_b = w[block], beta[block]
+        q_b, v_b = q[: w_b.shape[0]], v[: w_b.shape[0]]
+        for k, a in field_a:
+            _blockade_kernel(w_b, beta_b, a, q=q_b, v=v_b)
+            blockade[k, block].real = a.real * q_b.sum(axis=1)
+            blockade[k, block].imag = -np.einsum("ij,ij->i", q_b, v_b)
     amps = eit_baseline(params, scale).amplitude * np.exp(1j * blockade / params.c)
     return amps if fields.ndim else amps[0]
 
 
-def transmission_time_oracle(
+class _OracleSet(NamedTuple):
+    """Cell propagators and run schedule of one time-domain oracle set."""
+
+    g_local: np.ndarray  # local coupling g(z) per cell
+    props: np.ndarray    # (m, m, n_z) atomic step propagators
+    drive: np.ndarray    # (m, n_z) photon drive column of each step
+    dt: float
+    n_t: int             # time steps of the run
+    ramp: float          # input switch-on time
+    omega: float         # carrier detuning
+
+
+def _oracle_set(
     params: PropagationParams,
     interaction: InteractionParams,
     gate_z: float,
-    field: float = 0.0,
-) -> TransmissionResult:
-    """Steady-state transmission from the time-domain coupled amplitudes.
-
-    Integrates the four coupled fields (photon, P, S, and one gate-source
-    P-pair amplitude per channel of `interaction`, for a gate on axis at
-    `gate_z`) on a z grid of spacing min(L/60, 0.35 um), L the cloud
-    half-length, with exact characteristic advection (dt = dz/c) for the
-    photon and an exact linear-propagator step for the local atomic
-    amplitudes.  A long quasi-monochromatic pulse at the carrier detuning
-    is ramped in over a run of 16 group delays plus 120 EIT relaxation
-    times; the transmitted amplitude is demodulated over the trailing 30%
-    of the run, and a drift between the two halves of that window above
-    5e-3 warns that the run has not settled.
-    """
+    field: float,
+) -> _OracleSet:
+    """Grid, cell propagators and run schedule of one oracle parameter set."""
     from scipy.linalg import expm
 
     span = params.z_extent
@@ -377,36 +407,89 @@ def transmission_time_oracle(
     gamma_eit = params.omega_rabi**2 / params.gamma + params.gamma_s
     duration = 16.0 * (2 * span / v_g) + 120.0 / gamma_eit
     n_t = int(np.ceil(duration / dt))
-    ramp = 0.15 * duration
-    measure_start = int(0.7 * n_t)
+    return _OracleSet(g_local, props, drive, dt, n_t, 0.15 * duration, params.omega)
 
-    e_fld = np.zeros(n_z, dtype=complex)
-    x = np.zeros((m, n_z), dtype=complex)
-    out = np.empty(n_t, dtype=complex)
-    omega = params.omega
-    half = None
-    for step_i in range(n_t):
-        t = step_i * dt
+
+def transmission_time_oracle(
+    sets: Sequence[tuple[PropagationParams, InteractionParams, float]],
+    field: float = 0.0,
+) -> list[TransmissionResult]:
+    """Steady-state transmissions from the time-domain coupled amplitudes.
+
+    Each of `sets` is `(params, interaction, gate_z)`: the four coupled
+    fields (photon, P, S, and one gate-source P-pair amplitude per channel
+    of `interaction`, for a gate on axis at `gate_z`) are integrated on a z
+    grid of spacing min(L/60, 0.35 um), L the cloud half-length, with exact
+    characteristic advection (dt = dz/c) for the photon and an exact
+    linear-propagator step for the local atomic amplitudes.  A long
+    quasi-monochromatic pulse at the carrier detuning is ramped in over a
+    run of 16 group delays plus 120 EIT relaxation times; the transmitted
+    amplitude is demodulated over the trailing 30% of the run, and a drift
+    between the two halves of that window above 5e-3 warns, naming the
+    set's index, that the run has not settled.  Returns one result per set.
+
+    Every set keeps its own grid, time step, propagators and schedule, but
+    all sets advance in one time loop: their cells are concatenated along
+    z into one state, each step overwrites every set's first cell with that
+    set's input (so no light crosses from one set into the next), and a
+    set with fewer channels is padded with P-pair rows that stay exactly 0.
+    The loop runs the longest set's steps and reads each set's output at
+    its last cell, so a set's amplitude does not depend on the other sets.
+    """
+    built = [_oracle_set(params, inter, gate_z, field)
+             for params, inter, gate_z in sets]
+    m = max(s.drive.shape[0] for s in built)
+    sizes = np.array([s.g_local.size for s in built])
+    last = np.cumsum(sizes) - 1
+    first = last - sizes + 1
+    n_cells = int(sizes.sum())
+    n_steps = max(s.n_t for s in built)
+
+    props = np.zeros((m, m, n_cells), dtype=complex)
+    drive = np.zeros((m, n_cells), dtype=complex)
+    g_src = np.empty(n_cells, dtype=complex)  # photon source factor -i g(z)
+    half_dt = np.empty(n_cells)
+    inputs = np.empty((n_steps, len(built)), dtype=complex)
+    for k, s in enumerate(built):
+        cells = slice(first[k], last[k] + 1)
+        m_k = s.drive.shape[0]
+        props[:m_k, :m_k, cells] = s.props
+        drive[:m_k, cells] = s.drive
+        g_src[cells] = -1j * s.g_local
+        half_dt[cells] = 0.5 * s.dt
+        tt = np.arange(n_steps) * s.dt + s.dt
+        envelope = 0.5 * (1.0 + np.tanh((tt - 2.5 * s.ramp) / (0.5 * s.ramp)))
+        inputs[:, k] = envelope * np.exp(-1j * s.omega * tt)
+
+    e_fld = np.zeros(n_cells, dtype=complex)
+    x = np.zeros((m, n_cells), dtype=complex)
+    raw = np.empty((len(built), n_steps), dtype=complex)
+    half_dt = half_dt[1:]
+    for step_i in range(n_steps):
         # atomic amplitudes driven by the current photon field
         x_new = np.einsum("rcz,cz->rz", props, x) + drive * e_fld
         # photon field advected one cell per step (dt = dz/c exactly)
-        src = -1j * g_local * x[0]
-        e_fld[1:] = e_fld[:-1] + 0.5 * dt * (src[1:] + src[:-1])
-        tt = t + dt
-        envelope = 0.5 * (1.0 + np.tanh((tt - 2.5 * ramp) / (0.5 * ramp)))
-        e_fld[0] = envelope * np.exp(-1j * omega * tt)
+        src = g_src * x[0]
+        e_fld[1:] = e_fld[:-1] + half_dt * (src[1:] + src[:-1])
+        e_fld[first] = inputs[step_i]
         x = x_new
-        out[step_i] = e_fld[-1] * np.exp(1j * omega * tt)
-        if step_i == (measure_start + n_t) // 2:
-            half = np.mean(out[measure_start:step_i])
+        raw[:, step_i] = e_fld[last]
 
-    amp = np.mean(out[measure_start:])
-    if half is not None and abs(amp) > 1e-12:
-        drift = abs(amp - half) / max(abs(amp), 1e-12)
-        if drift > 5e-3:
-            warnings.warn(
-                f"time-domain oracle not fully settled (drift {drift:.2e}); "
-                "its intensity is not converged",
-                stacklevel=2,
-            )
-    return TransmissionResult(amplitude=complex(amp))
+    results = []
+    for k, s in enumerate(built):
+        n_t = s.n_t
+        tt = np.arange(n_t) * s.dt + s.dt
+        out = raw[k, :n_t] * np.exp(1j * s.omega * tt)
+        measure_start = int(0.7 * n_t)
+        half = np.mean(out[measure_start:(measure_start + n_t) // 2])
+        amp = np.mean(out[measure_start:])
+        if abs(amp) > 1e-12:
+            drift = abs(amp - half) / max(abs(amp), 1e-12)
+            if drift > 5e-3:
+                warnings.warn(
+                    f"time-domain oracle set {k} not fully settled "
+                    f"(drift {drift:.2e}); its intensity is not converged",
+                    stacklevel=2,
+                )
+        results.append(TransmissionResult(amplitude=complex(amp)))
+    return results

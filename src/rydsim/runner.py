@@ -219,13 +219,15 @@ def _oracle_parameter_sets(setup: SimulationSetup, rng: np.random.Generator):
 
 def run_oracle_check(setup: SimulationSetup, out_dir: Path) -> dict:
     rng = np.random.default_rng(setup.config.seed)
+    sets = _oracle_parameter_sets(setup, rng)
+    time_results = transmission_time_oracle(sets)
     rows = []
     max_diff = 0.0
-    for idx, (params, inter, gate_z) in enumerate(_oracle_parameter_sets(setup, rng)):
+    for idx, ((params, inter, gate_z), time_result) in enumerate(zip(sets, time_results)):
         i_freq = transmission_freq(
             (0.0, 0.0), (0.0, 0.0, gate_z), params, inter, field=0.0
         ).intensity
-        i_time = transmission_time_oracle(params, inter, gate_z).intensity
+        i_time = time_result.intensity
         diff = abs(i_freq - i_time)
         max_diff = max(max_diff, diff)
         rows.append([idx, i_freq, i_time, diff])

@@ -249,8 +249,8 @@ def transverse_channels(
     params: PropagationParams,
     interaction: InteractionParams,
     field: float,
-    n_offsets: int = 12,
-    seed: int = 0,
+    n_offsets: int,
+    seed: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-photon decoherence and scatter probability per gate offset.
 

@@ -113,7 +113,7 @@ class TestFieldScan:
         with pytest.raises(ValueError):
             field_scan(setup.pair, setup.geometry, setup.params,
                        setup.interaction, [0.8, 0.2], setup.stats,
-                       n_samples=10)
+                       n_samples=10, seed=0)
 
 
 class TestSmoothingAndPeaks:

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rydsim import propagation, runner
 from rydsim.atomic_states import PairChannel, RydbergLevel
 from rydsim.config import build_setup, load_config
 from rydsim.interaction import InteractionParams, effective_c6
@@ -176,6 +177,23 @@ class TestFieldGrid:
         assert grid.shape == (fields.size, n)
         assert np.max(np.abs(grid - stacked)) <= 1e-12
 
+    def test_row_blocks_equal_row_slices_and_single_fields(self, setup, rng):
+        n, fields = 700, np.array([0.70, setup.resonance_field, 0.72])
+        grid_points = _graded_grid(setup.params.z_extent, [0.0]).shape[1]
+        assert 2 * (propagation._BLOCK_CELLS // grid_points) < n  # 3 blocks
+        offsets, gates, scales = _samples(rng, n)
+
+        def batch(rows, field):
+            return transmission_batch(offsets[rows], gates[rows], setup.params,
+                                      setup.interaction, field=field,
+                                      density_scale=scales[rows])
+
+        full = batch(slice(None), fields)
+        for lo, hi in [(0, 1), (270, 290), (550, 700)]:
+            assert np.array_equal(batch(slice(lo, hi), fields), full[:, lo:hi])
+        for k, f in enumerate(fields):
+            assert np.array_equal(batch(slice(None), f), full[k])
+
     def test_scalar_field_keeps_sample_shape(self, setup):
         gates = np.array([[0.0, 0.0, 5.0], [1.0, -1.0, -20.0], [0.5, 0.5, 0.0]])
         amps = transmission_batch(np.zeros((3, 2)), gates, setup.params,
@@ -277,5 +295,72 @@ def test_time_domain_oracle_agrees_with_frequency_solver():
     )
     inter = _resonant_interaction(c3=350.0, gamma_p=0.5)
     i_freq = transmission_freq((0.0, 0.0), (0.0, 0.0, 3.0), params, inter).intensity
-    i_time = transmission_time_oracle(params, inter, gate_z=3.0).intensity
-    assert abs(i_freq - i_time) < 0.01
+    (result,) = transmission_time_oracle([(params, inter, 3.0)])
+    assert abs(i_freq - result.intensity) < 0.01
+
+
+def _oracle_sets(seed, n_sets):
+    setup = build_setup(load_config(None, "oracle-check",
+                                    {"seed": seed, "oracle_sets": n_sets}))
+    return runner._oracle_parameter_sets(setup, np.random.default_rng(seed))
+
+
+class TestOracleLockstep:
+    """All sets advance in one time loop; each set's amplitude must be the
+    one a call with that set alone gives."""
+
+    def test_each_set_equals_its_single_set_call_in_any_order(self):
+        # default sets 0 and 1 (169 and 177 cells, 18078 and 15779 steps)
+        # and set 0 with a second channel, so the other sets carry padding
+        first, second = _oracle_sets(12345, 2)
+        params, inter, gate_z = first
+        (ch,) = inter.channels
+        extra = dataclasses.replace(ch, defect_zero_field=-ch.defect_zero_field,
+                                    c3=0.7 * ch.c3)
+        two_channel = (params, dataclasses.replace(inter, channels=(ch, extra)),
+                       gate_z)
+        sets = [first, second, two_channel]
+        single = [transmission_time_oracle([s])[0].amplitude for s in sets]
+        lockstep = [r.amplitude for r in transmission_time_oracle(sets)]
+        reordered = [r.amplitude for r in transmission_time_oracle(sets[::-1])]
+        assert lockstep == single
+        assert reordered == single[::-1]
+        assert len(set(single)) == 3
+
+    def test_only_the_unsettled_set_warns_and_is_named(self):
+        # seed 4: set 2 drifts by 5.1e-3 over its window, set 0 settles
+        sets = _oracle_sets(4, 3)
+        with pytest.warns(UserWarning) as record:
+            transmission_time_oracle([sets[0], sets[2]])
+        messages = [str(w.message) for w in record]
+        assert len(messages) == 1
+        assert "oracle set 1 not fully settled" in messages[0]
+
+
+def test_quadrature_evaluates_chi_once_per_node(setup, monkeypatch):
+    from scipy.integrate import quad
+
+    params, inter = setup.params, setup.interaction
+    offset, gate, field = (0.2, -0.4), (1.0, 0.5, 3.0), setup.resonance_field
+    pref = effective_c6(params.omega, field, inter)
+    t_dist_sq = (0.2 - 1.0) ** 2 + (-0.4 - 0.5) ** 2
+
+    def chi(z):
+        return chi_values(z, params, pref, 3.0, t_dist_sq, 1.0)
+
+    # the unmemoized integral, as transmission_freq computed it before
+    span = params.z_extent
+    integral, _ = quad(chi, -span, span, complex_func=True, epsrel=1e-6,
+                       epsabs=1e-12, limit=400, points=[-17.0, 3.0, 23.0])
+    reference = np.minimum(np.abs(np.exp(1j * integral / params.c)) ** 2, 1.0)
+
+    nodes = []
+
+    def counted(z, *args):
+        nodes.append(z)
+        return chi_values(z, *args)
+
+    monkeypatch.setattr(propagation, "chi_values", counted)
+    got = transmission_freq(offset, gate, params, inter, field=field)
+    assert len(nodes) == len(set(nodes))
+    assert got.intensity == reference
