@@ -229,7 +229,7 @@ def nondestructive_limit(
     stats: PhotonStats,
     t0: float,
     t1: float,
-    rate_ceiling: float = 200.0,
+    rate_ceiling: float,
 ) -> float:
     """Largest source rate keeping the end-of-pulse transmission drop < 10%.
 

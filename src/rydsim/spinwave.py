@@ -79,7 +79,7 @@ def _scatter_overlap(scatter: np.ndarray) -> np.ndarray:
     return scatter.T @ scatter.conj()
 
 
-def stored_spinwave(geometry: ExperimentGeometry, n_points: int = 201) -> SpinWaveState:
+def stored_spinwave(geometry: ExperimentGeometry, n_points: int) -> SpinWaveState:
     """Pure stored state with |psi(z)|^2 proportional to the density."""
     half = _SPAN_FACTOR * geometry.cloud_half_length
     grid = np.linspace(-half, half, n_points)

@@ -94,6 +94,23 @@ def _multichannel_ok(headline, out):
     return near, dips_ok
 
 
+def _fidelity_ok(headline, out):
+    """Criterion 6 as (value_ok, field_ok, monotone_ok): peak fidelity
+    0.80 +- 0.05, at 0.710 +- 0.005 V/cm, and non-decreasing with source
+    rate at that field within 0.01."""
+    peak_field = headline["peak_fidelity_field_v_cm"]
+    value_ok = abs(headline["peak_fidelity"] - 0.80) <= 0.05
+    field_ok = abs(peak_field - 0.710) <= 0.005
+    _, rows = _read_csv(out / "fidelity_scan.csv")
+    at_peak = sorted(
+        ((float(r[1]), float(r[2])) for r in rows
+         if abs(float(r[0]) - peak_field) < 1e-9),
+    )
+    fids = [f for _, f in at_peak]
+    monotone_ok = all(b >= a - 0.01 for a, b in zip(fids, fids[1:]))
+    return value_ok, field_ok, monotone_ok
+
+
 @pytest.fixture(scope="module")
 def gain_run(tmp_path_factory):
     return _run("gain-scan", tmp_path_factory, "gain")
@@ -237,23 +254,12 @@ def test_criterion_6_detection_fidelity(fidelity_run):
     """Peak readout fidelity 0.80 +- 0.05, co-located with the gain peak,
     and non-decreasing with source rate at the peak field."""
     headline, out, _ = fidelity_run
-    peak_f = headline["peak_fidelity"]
-    peak_field = headline["peak_fidelity_field_v_cm"]
-    value_ok = abs(peak_f - 0.80) <= 0.05
-    field_ok = abs(peak_field - 0.710) <= 0.005
-
-    _, rows = _read_csv(out / "fidelity_scan.csv")
-    at_peak = sorted(
-        ((float(r[1]), float(r[2])) for r in rows
-         if abs(float(r[0]) - peak_field) < 1e-9),
-    )
-    fids = [f for _, f in at_peak]
-    monotone_ok = all(b >= a - 0.01 for a, b in zip(fids, fids[1:]))
-
+    value_ok, field_ok, monotone_ok = _fidelity_ok(headline, out)
     ok = value_ok and field_ok and monotone_ok
     _report(6, ok,
-            f"peak fidelity {peak_f:.3f} (target 0.80 +- 0.05) at "
-            f"{peak_field:.3f} V/cm, monotone in rate: {monotone_ok}")
+            f"peak fidelity {headline['peak_fidelity']:.3f} (target 0.80 +- "
+            f"0.05) at {headline['peak_fidelity_field_v_cm']:.3f} V/cm, "
+            f"monotone in rate: {monotone_ok}")
 
 
 def test_criterion_7_retrieval_decay_and_collapse(retrieval_run, setup):
@@ -345,3 +351,16 @@ def test_gain_criteria_hold_on_every_seed(tmp_path, pair_system, seed):
         assert _gain_magnitude_ok(headline), headline
     else:
         assert _multichannel_ok(headline, tmp_path) == (True, True), headline
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fidelity_criterion_holds_on_every_seed(tmp_path, seed):
+    """Criterion 6 on seeds 0-9, on the 5-field window 0.706-0.714 V/cm
+    about the resonance, not only on the default seed."""
+    cfg = load_config(None, "fidelity-scan", {
+        "seed": seed,
+        "field_grid": [0.706, 0.708, 0.710, 0.712, 0.714],
+        "output_dir": str(tmp_path),
+    })
+    headline = run_experiment(cfg)
+    assert _fidelity_ok(headline, tmp_path) == (True, True, True), headline

@@ -153,7 +153,7 @@ class TestNondestructiveLimit:
 
     def test_fully_blocking_gate_allows_no_rate(self):
         # T1 = 0 is the T1 -> 0+ limit of log(0.9)/log(T1/T0), not a log(0)
-        assert nondestructive_limit(_stats(), 0.9, 0.0) == 0.0
+        assert nondestructive_limit(_stats(), 0.9, 0.0, rate_ceiling=200.0) == 0.0
 
 
 class TestPhotonStats:

@@ -9,6 +9,7 @@ import pytest
 from rydsim import propagation, runner
 from rydsim.atomic_states import PairChannel, RydbergLevel
 from rydsim.config import build_setup, load_config
+from rydsim.errors import ConfigError
 from rydsim.interaction import InteractionParams, effective_c6
 from rydsim.propagation import (
     R_MIN,
@@ -335,6 +336,103 @@ class TestOracleLockstep:
         messages = [str(w.message) for w in record]
         assert len(messages) == 1
         assert "oracle set 1 not fully settled" in messages[0]
+
+
+def _stepwise_oracle(sets):
+    """Oracle amplitudes from the literal step-by-step lockstep loop, as
+    `transmission_time_oracle` computed them before its steps were
+    composed into blocks."""
+    built = [propagation._oracle_set(p, inter, gate_z, 0.0)
+             for p, inter, gate_z in sets]
+    m = max(s.drive.shape[0] for s in built)
+    sizes = np.array([s.g_local.size for s in built])
+    last = np.cumsum(sizes) - 1
+    first = last - sizes + 1
+    n_cells = int(sizes.sum())
+    n_steps = max(s.n_t for s in built)
+    props = np.zeros((m, m, n_cells), dtype=complex)
+    drive = np.zeros((m, n_cells), dtype=complex)
+    g_src = np.empty(n_cells, dtype=complex)
+    half_dt = np.empty(n_cells)
+    inputs = np.empty((n_steps, len(built)), dtype=complex)
+    for k, s in enumerate(built):
+        cells = slice(first[k], last[k] + 1)
+        m_k = s.drive.shape[0]
+        props[:m_k, :m_k, cells] = s.props
+        drive[:m_k, cells] = s.drive
+        g_src[cells] = -1j * s.g_local
+        half_dt[cells] = 0.5 * s.dt
+        tt = np.arange(n_steps) * s.dt + s.dt
+        envelope = 0.5 * (1.0 + np.tanh((tt - 2.5 * s.ramp) / (0.5 * s.ramp)))
+        inputs[:, k] = envelope * np.exp(-1j * s.omega * tt)
+    e_fld = np.zeros(n_cells, dtype=complex)
+    x = np.zeros((m, n_cells), dtype=complex)
+    raw = np.empty((len(built), n_steps), dtype=complex)
+    half_dt = half_dt[1:]
+    for step_i in range(n_steps):
+        x_new = np.einsum("rcz,cz->rz", props, x) + drive * e_fld
+        src = g_src * x[0]
+        e_fld[1:] = e_fld[:-1] + half_dt * (src[1:] + src[:-1])
+        e_fld[first] = inputs[step_i]
+        x = x_new
+        raw[:, step_i] = e_fld[last]
+    amps = []
+    for k, s in enumerate(built):
+        tt = np.arange(s.n_t) * s.dt + s.dt
+        out = raw[k, :s.n_t] * np.exp(1j * s.omega * tt)
+        amps.append(np.mean(out[int(0.7 * s.n_t):]))
+    return np.array(amps)
+
+
+def _oracle_case(name):
+    first, second = _oracle_sets(12345, 2)
+    params, inter, gate_z = first
+    if name == "default sets 0 and 1":
+        return [first, second]
+    if name == "padded":
+        (ch,) = inter.channels
+        extra = dataclasses.replace(ch, defect_zero_field=-ch.defect_zero_field,
+                                    c3=0.7 * ch.c3)
+        return [first, second,
+                (params, dataclasses.replace(inter, channels=(ch, extra)), gate_z)]
+    if name == "detuned":
+        return [(dataclasses.replace(params, omega=0.3), inter, gate_z)]
+    return [second]  # its 15779 steps end in a partial block
+
+
+class TestBlockedOracle:
+    """Blocks of composed steps against the literal step loop."""
+
+    @pytest.mark.parametrize("name", ["default sets 0 and 1", "padded",
+                                      "detuned", "ragged"])
+    def test_matches_step_loop(self, name):
+        sets = _oracle_case(name)
+        block = propagation._ORACLE_BLOCK_STEPS
+        n_t = [propagation._oracle_set(p, i, g, 0.0).n_t for p, i, g in sets]
+        assert max(n_t) % block != 0
+        if name == "detuned":
+            assert sets[0][0].omega != 0.0
+        ref = _stepwise_oracle(sets)
+        got = np.array([r.amplitude for r in transmission_time_oracle(sets)])
+        assert np.all(np.abs(ref) > 0.1)
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-12
+
+    def test_too_fine_grid_fails_before_anything_is_built(self, monkeypatch):
+        import scipy.linalg
+
+        params = PropagationParams(
+            g=9.5, omega_rabi=10.0, gamma=6.0, gamma_s=0.05, c=300.0,
+            cloud_half_length=15.0, profile="uniform", z_extent=1.0e4,
+        )
+        inter = _resonant_interaction(c3=350.0, gamma_p=0.5)
+
+        def never(*args, **kwargs):
+            raise AssertionError("built an oracle operator")
+
+        monkeypatch.setattr(scipy.linalg, "expm", never)
+        monkeypatch.setattr(propagation, "_oracle_block_operator", never)
+        with pytest.raises(ConfigError, match="MiB of block operator"):
+            transmission_time_oracle([(params, inter, 0.0)])
 
 
 def test_quadrature_evaluates_chi_once_per_node(setup, monkeypatch):
