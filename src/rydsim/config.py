@@ -307,9 +307,16 @@ def build_setup(config: RunConfig) -> SimulationSetup:
             f"cloud geometry gives peak density {density:g} um^-3 and "
             f"g_peak {g_peak:g}; both must be finite and > 0"
         )
+    omega_rabi = from_mhz(config.omega_rabi_mhz)
+    # the transport formulas square both couplings
+    for name, rate in (("g_peak", g_peak), ("omega_rabi", omega_rabi)):
+        if not math.isfinite(rate * rate):
+            raise ConfigError(
+                f"{name} = {rate:g} rad/us is too large: its square overflows"
+            )
     params = PropagationParams(
         g=g_peak,
-        omega_rabi=from_mhz(config.omega_rabi_mhz),
+        omega_rabi=omega_rabi,
         gamma=from_mhz(config.gamma_mhz),
         gamma_s=from_mhz(config.gamma_s_mhz),
         omega=from_mhz(config.omega_mhz),

@@ -28,14 +28,12 @@ does not depend on the blocking.
 Time domain: the same transport is integrated brute-force from the four
 coupled amplitudes (photon, intermediate P, source Rydberg S, and the
 gate-source P-pair component) as an independent oracle.
-`transmission_time_oracle` advances every parameter set it is given in
-one lockstep time loop over their concatenated grids; each set's amplitude
-is the same as from a call with that set alone.  One step is a fixed
-linear map of the state plus the inputs, a few thousand complex
-multiply-adds, so a step loop would pay mostly per-step overhead.  The
-loop instead composes `_ORACLE_BLOCK_STEPS` steps into one sparse
-operator, built once per call, and advances each block of steps, outputs
-included, with one sparse matrix-vector product.
+`transmission_time_oracle` runs each parameter set it is given on its
+own.  One step is a fixed linear map of the state plus the input, a few
+thousand complex multiply-adds, so a step loop would pay mostly per-step
+overhead.  The loop instead composes `_ORACLE_BLOCK_STEPS` steps into one
+sparse operator, built once per set, and advances each block of steps,
+outputs included, with one sparse matrix-vector product.
 
 The two reference solvers import scipy (`quad`, `expm`) on first call,
 so importing this module, and the pipelines that use only
@@ -72,8 +70,8 @@ _GRID_GATE_OFFSETS = np.concatenate(
 _BLOCK_CELLS = 2**16
 
 # Time steps of the time-domain oracle composed into one sparse operator,
-# and the memory bound on one parameter set's share of that operator
-# (building the operator peaks at about three times its size).
+# and the memory bound on one parameter set's operator, the only one that
+# exists at a time (building it peaks at about three times its size).
 _ORACLE_BLOCK_STEPS = 8
 _MAX_ORACLE_SET_BYTES = 2**26
 
@@ -381,7 +379,7 @@ def _oracle_set(
     n_z = int(round(2 * span / min(params.cloud_half_length / 60.0, 0.35))) + 1
     channels = interaction.channels
     m = 2 + len(channels)
-    # this set's rows of the block operator: (m + 1) per cell, each with
+    # this set's block operator: (m + 1) rows per cell, each with
     # at most (m + 1)(K + 1) entries of a 16-byte value and an 8-byte index
     operator_bytes = 24 * n_z * (m + 1) ** 2 * (_ORACLE_BLOCK_STEPS + 1)
     if operator_bytes > _MAX_ORACLE_SET_BYTES:
@@ -426,43 +424,39 @@ def _oracle_set(
     return _OracleSet(g_local, props, drive, dt, n_t, 0.15 * duration, params.omega)
 
 
-def _oracle_block_operator(props, drive, g_src, half_dt, first, last):
-    """Sparse operator of `_ORACLE_BLOCK_STEPS` oracle steps.
+def _oracle_block_operator(s: _OracleSet):
+    """Sparse operator of `_ORACLE_BLOCK_STEPS` steps of oracle set `s`.
 
-    The state is y = [x_0, ..., x_(m-1), e], each a row over all cells.
+    The state is y = [x_0, ..., x_(m-1), e], each a row over the cells.
     One step is y <- M y + inject u: the cell blocks `props`/`drive` move
-    x, the photon is advected one cell, e[z] = e[z-1] + half_dt[z] *
-    (g_src[z] x_0[z] + g_src[z-1] x_0[z-1]), and each set's input u is
-    written into its first cell, whose rows of M are empty.  With K steps
-    and inputs u_0..u_(K-1) the block operator maps [y; u_0; ...; u_(K-1)]
-    to [M^K y + sum_j M^(K-1-j) inject u_j; out_1; ...; out_K], where
-    out_i = read M^i y + sum_(j<i) read M^(i-1-j) inject u_j is every set's
-    last-cell photon after step i.
+    x, the photon is advected one cell, e[z] = e[z-1] + dt/2 *
+    (g_src[z] x_0[z] + g_src[z-1] x_0[z-1]) with g_src = -i g(z), and the
+    input u is written into the first cell, whose rows of M are empty.
+    With K steps and inputs u_0..u_(K-1) the block operator maps
+    [y; u_0; ...; u_(K-1)] to [M^K y + sum_j M^(K-1-j) inject u_j; out_1;
+    ...; out_K], where out_i = read M^i y + sum_(j<i) read M^(i-1-j)
+    inject u_j is the last cell's photon after step i.
     """
     from scipy import sparse
 
-    m, n_cells = drive.shape
-    n_sets = first.size
+    m, n_cells = s.drive.shape
     n_state = (m + 1) * n_cells
     index = np.arange(n_state).reshape(m + 1, n_cells)
-    blocks = np.concatenate([props, drive[:, None]], axis=1)  # (m, m + 1, z)
-    z = np.setdiff1d(np.arange(n_cells), first)  # cells the photon moves into
+    blocks = np.concatenate([s.props, s.drive[:, None]], axis=1)  # (m, m + 1, z)
+    z = np.arange(1, n_cells)  # cells the photon moves into
+    source = 0.5 * s.dt * (-1j * s.g_local)
     rows = np.concatenate([
         np.broadcast_to(index[:m, None], blocks.shape).ravel(),
         np.tile(index[m, z], 3)])
     cols = np.concatenate([
         np.broadcast_to(index[None], blocks.shape).ravel(),
         index[m, z - 1], index[0, z], index[0, z - 1]])
-    vals = np.concatenate([
-        blocks.ravel(), np.ones(z.size),
-        half_dt[z] * g_src[z], half_dt[z] * g_src[z - 1]])
+    vals = np.concatenate([blocks.ravel(), np.ones(z.size), source[z],
+                           source[z - 1]])
     step = sparse.csr_array((vals, (rows, cols)), shape=(n_state, n_state))
     step.eliminate_zeros()
-    sets = np.arange(n_sets)
-    inject = sparse.csr_array((np.ones(n_sets), (index[m, first], sets)),
-                              shape=(n_state, n_sets))
-    read = sparse.csr_array((np.ones(n_sets), (sets, index[m, last])),
-                            shape=(n_sets, n_state))
+    inject = sparse.csr_array(([1.0], ([index[m, 0]], [0])), shape=(n_state, 1))
+    read = sparse.csr_array(([1.0], ([0], [index[m, -1]])), shape=(1, n_state))
 
     n_block = _ORACLE_BLOCK_STEPS
     power = sparse.eye_array(n_state, dtype=complex, format="csr")
@@ -494,68 +488,39 @@ def transmission_time_oracle(
     between the two halves of that window above 5e-3 warns, naming the
     set's index, that the run has not settled.  Returns one result per set.
 
-    Every set keeps its own grid, time step, propagators and schedule, but
-    all sets advance in one time loop: their cells are concatenated along
-    z into one state, each step overwrites every set's first cell with that
-    set's input (so no light crosses from one set into the next), and a
-    set with fewer channels is padded with P-pair rows that stay exactly 0.
-    The loop runs the longest set's steps and reads each set's output at
-    its last cell, so a set's amplitude does not depend on the other sets.
-
-    The step is linear, so `_oracle_block_operator` composes
-    K = `_ORACLE_BLOCK_STEPS` steps, with their inputs and last-cell
-    outputs, into one sparse operator, and the loop makes one
-    matrix-vector product per block of K steps; the last block runs past
-    the longest set's steps and its surplus outputs are dropped.  The
-    operator holds about n_cells (m+1)^2 (K+1) entries (m atomic
-    amplitudes per cell), which `_oracle_set` bounds per set before
-    anything is built.  On two default sets (346 cells, 18078 steps, a
-    2-vCPU machine) a step costs about 6 us, against about 33 us for a
-    step-by-step loop.
+    Every set's grid and propagators are built first, so a set whose
+    operator would exceed the size bound of `_oracle_set` fails before any
+    set runs; then each set runs on its own.  The step is linear, so
+    `_oracle_block_operator` composes K = `_ORACLE_BLOCK_STEPS` steps, with
+    their inputs and last-cell outputs, into one sparse operator of about
+    n_cells (m+1)^2 (K+1) entries (m atomic amplitudes per cell), and the
+    loop makes one matrix-vector product per block of K steps; the last
+    block runs past the set's steps and its surplus outputs are dropped.
+    On a default set (about 170 cells, a 2-vCPU machine) a step costs
+    3-5 us, against about 33 us for a step-by-step loop.
     """
     built = [_oracle_set(params, inter, gate_z, field)
              for params, inter, gate_z in sets]
-    m = max(s.drive.shape[0] for s in built)
-    sizes = np.array([s.g_local.size for s in built])
-    last = np.cumsum(sizes) - 1
-    first = last - sizes + 1
-    n_cells = int(sizes.sum())
-    n_blocks = -(-max(s.n_t for s in built) // _ORACLE_BLOCK_STEPS)
-    n_run = n_blocks * _ORACLE_BLOCK_STEPS
-
-    props = np.zeros((m, m, n_cells), dtype=complex)
-    drive = np.zeros((m, n_cells), dtype=complex)
-    g_src = np.empty(n_cells, dtype=complex)  # photon source factor -i g(z)
-    half_dt = np.empty(n_cells)
-    inputs = np.empty((n_run, len(built)), dtype=complex)
-    for k, s in enumerate(built):
-        cells = slice(first[k], last[k] + 1)
-        m_k = s.drive.shape[0]
-        props[:m_k, :m_k, cells] = s.props
-        drive[:m_k, cells] = s.drive
-        g_src[cells] = -1j * s.g_local
-        half_dt[cells] = 0.5 * s.dt
-        tt = np.arange(n_run) * s.dt + s.dt
-        envelope = 0.5 * (1.0 + np.tanh((tt - 2.5 * s.ramp) / (0.5 * s.ramp)))
-        inputs[:, k] = envelope * np.exp(-1j * s.omega * tt)
-    inputs = inputs.reshape(n_blocks, -1)  # each block's [u_0; ...; u_(K-1)]
-
-    block = _oracle_block_operator(props, drive, g_src, half_dt, first, last)
-    n_state = (m + 1) * n_cells
-    y_u = np.zeros(n_state + inputs.shape[1], dtype=complex)
-    raw = np.empty((n_blocks, inputs.shape[1]), dtype=complex)
-    for b in range(n_blocks):
-        y_u[n_state:] = inputs[b]
-        w = block @ y_u
-        y_u[:n_state] = w[:n_state]
-        raw[b] = w[n_state:]
-    raw = raw.reshape(n_run, len(built)).T
-
     results = []
     for k, s in enumerate(built):
         n_t = s.n_t
-        tt = np.arange(n_t) * s.dt + s.dt
-        out = raw[k, :n_t] * np.exp(1j * s.omega * tt)
+        n_blocks = -(-n_t // _ORACLE_BLOCK_STEPS)
+        tt = np.arange(n_blocks * _ORACLE_BLOCK_STEPS) * s.dt + s.dt
+        envelope = 0.5 * (1.0 + np.tanh((tt - 2.5 * s.ramp) / (0.5 * s.ramp)))
+        # each block's [u_0; ...; u_(K-1)]
+        inputs = (envelope * np.exp(-1j * s.omega * tt)).reshape(n_blocks, -1)
+
+        block = _oracle_block_operator(s)
+        n_state = block.shape[0] - _ORACLE_BLOCK_STEPS
+        y_u = np.zeros(block.shape[1], dtype=complex)
+        raw = np.empty_like(inputs)
+        for b in range(n_blocks):
+            y_u[n_state:] = inputs[b]
+            w = block @ y_u
+            y_u[:n_state] = w[:n_state]
+            raw[b] = w[n_state:]
+
+        out = raw.ravel()[:n_t] * np.exp(1j * s.omega * tt[:n_t])
         measure_start = int(0.7 * n_t)
         half = np.mean(out[measure_start:(measure_start + n_t) // 2])
         amp = np.mean(out[measure_start:])

@@ -91,6 +91,12 @@ def run_gain_scan(setup: SimulationSetup, out_dir: Path) -> dict:
         seed=setup.config.seed,
     )
     rows = [[p.field, p.gain, p.gain_err, p.t0, p.t1] for p in points]
+    bad = [row for row in rows if not all(map(math.isfinite, row[1:]))]
+    if bad:
+        raise NumericsError(
+            f"{len(bad)} non-finite gain points, first at field "
+            f"{bad[0][0]:.6g} V/cm"
+        )
     _write_csv(out_dir / "gain_scan.csv",
                ["field_v_cm", "gain", "gain_err", "t0", "t1"], rows)
     gains = np.array([p.gain for p in points])

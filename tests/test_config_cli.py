@@ -306,6 +306,10 @@ class TestCli:
              "both must be finite and > 0"),
             ("gain-scan", ["--set", "field_grid=0.71", "--set", "cloud_radius=1e300"],
              "both must be finite and > 0"),
+            ("gain-scan", ["--set", "g0=1e200", "--set", "field_grid=0.71"],
+             "g_peak = 9.47595e+199 rad/us is too large"),
+            ("gain-scan", ["--set", "omega_rabi_mhz=1e300", "--set", "field_grid=0.71"],
+             "omega_rabi = 6.28319e+300 rad/us is too large"),
         ],
     )
     def test_bad_scan_input_exits_with_config_code(self, tmp_path, scan, args,
@@ -405,4 +409,17 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert "numerical failure:" in result.stderr
         assert "non-finite fidelities" in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_gain_exits_with_numerics_code(self, tmp_path):
+        # a vanishing speed of light makes every transmission NaN
+        runner = CliRunner()
+        result = runner.invoke(main, [
+            "gain-scan", "--samples", "50", "--set", "speed_of_light=1e-300",
+            "--set", "field_grid=0.71", "--out", str(tmp_path),
+        ])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "numerical failure:" in result.stderr
+        assert "1 non-finite gain points, first at field 0.71" in result.stderr
         assert list(tmp_path.iterdir()) == []

@@ -307,8 +307,8 @@ def _oracle_sets(seed, n_sets):
 
 
 class TestOracleLockstep:
-    """All sets advance in one time loop; each set's amplitude must be the
-    one a call with that set alone gives."""
+    """Each set's amplitude must be the one a call with that set alone
+    gives, whatever the other sets and their order."""
 
     def test_each_set_equals_its_single_set_call_in_any_order(self):
         # default sets 0 and 1 (169 and 177 cells, 18078 and 15779 steps)
@@ -416,6 +416,30 @@ class TestBlockedOracle:
         got = np.array([r.amplitude for r in transmission_time_oracle(sets)])
         assert np.all(np.abs(ref) > 0.1)
         assert np.max(np.abs(got / ref - 1.0)) <= 1e-12
+
+    def test_each_set_runs_only_its_own_blocks(self, monkeypatch):
+        # the 10 default sets (8972 to 25542 steps): no set is advanced
+        # past its own last block
+        sets = _oracle_sets(12345, 10)
+        block = propagation._ORACLE_BLOCK_STEPS
+        n_t = [propagation._oracle_set(p, i, g, 0.0).n_t for p, i, g in sets]
+        build = propagation._oracle_block_operator
+        products = []
+
+        class Counted:
+            def __init__(self, operator):
+                self.operator = operator
+                self.shape = operator.shape
+
+            def __matmul__(self, y_u):
+                products.append(self.shape)
+                return self.operator @ y_u
+
+        monkeypatch.setattr(propagation, "_oracle_block_operator",
+                            lambda *args: Counted(build(*args)))
+        transmission_time_oracle(sets)
+        assert len(set(n_t)) == 10
+        assert len(products) == sum(-(-n // block) for n in n_t)
 
     def test_too_fine_grid_fails_before_anything_is_built(self, monkeypatch):
         import scipy.linalg
