@@ -23,7 +23,7 @@ from .atomic_states import PairConfig, channel_set, resonance_fields
 from .detection import count_window
 from .ensemble import ExperimentGeometry, PhotonStats
 from .errors import ConfigError
-from .interaction import InteractionParams
+from .interaction import InteractionParams, effective_c6
 from .presets import load_pair_system
 from .propagation import PropagationParams
 from .units import C_LIGHT, from_mhz, to_mhz
@@ -34,6 +34,9 @@ SCHEMA_VERSION = 1
 
 # Memory bound on the fidelity scan's per-sample Poisson count table.
 _MAX_COUNT_TABLE_BYTES = 2**30
+
+# Upper end of the Stark range searched for resonances (V/cm).
+_FIELD_MAX = 2.0
 
 # Defaults follow the reference experiment:
 #   beam waist 6.2 um; cloud 1/e half-length 40 um, radius 10 um,
@@ -176,6 +179,13 @@ def _validate(values: dict) -> None:
             f"the {_MAX_COUNT_TABLE_BYTES / 2**30:g} GiB limit; lower samples, "
             "rate_grid, pulse_length or detector_efficiency"
         )
+    # a retrieval field beyond the searched Stark range lies past every
+    # resonance, where the gate barely scatters the source photons
+    if values["retrieval_field"] > _FIELD_MAX:
+        raise ConfigError(
+            f"retrieval_field must be <= {_FIELD_MAX:g} V/cm, the searched Stark "
+            f"range (< 0 for the first resonance), got {values['retrieval_field']}"
+        )
     if not 0.0 <= values["retrieval_eta0"] <= 1.0:
         raise ConfigError("retrieval_eta0 must lie in [0, 1]")
     # the spin-wave grid needs two points for its gradient and its norm
@@ -274,9 +284,12 @@ class SimulationSetup:
 
     @property
     def resonance_field(self) -> float:
-        roots = resonance_fields(self.pair, field_max=2.0)
+        roots = resonance_fields(self.pair, field_max=_FIELD_MAX)
         if not roots:
-            raise ConfigError(f"pair system {self.pair.name!r} has no resonance below 2 V/cm")
+            raise ConfigError(
+                f"pair system {self.pair.name!r} has no resonance below "
+                f"{_FIELD_MAX:g} V/cm"
+            )
         return roots[0][0]
 
     def default_field_grid(self) -> np.ndarray:
@@ -338,6 +351,15 @@ def build_setup(config: RunConfig) -> SimulationSetup:
             stacklevel=2,
         )
     interaction = InteractionParams(gamma_p=extras["gamma_p"], channels=channels)
+    # the blockade kernel squares a = Omega^2/C6, which grows with the
+    # detuning; far detuned, C6 ~ -sum c3^2/omega at every field
+    c6 = effective_c6(params.omega, 0.0, interaction)
+    a = float(abs(omega_rabi**2 / c6)) if c6 != 0.0 else 0.0
+    if not math.isfinite(a * a):
+        raise ConfigError(
+            f"omega = {params.omega:g} rad/us is too large: the blockade "
+            f"term's |Omega^2/C6| = {a:g} overflows when squared"
+        )
     stats = PhotonStats(
         gate_mean_in=config.gate_mean_in,
         source_rate=config.source_rate,

@@ -25,18 +25,17 @@ row blocks of about 2^16 cells, so the tables a block reads stay in cache
 while every field passes over them; rows are independent, so the result
 does not depend on the blocking.
 
-Time domain: the same transport is integrated brute-force from the four
-coupled amplitudes (photon, intermediate P, source Rydberg S, and the
-gate-source P-pair component) as an independent oracle.
-`transmission_time_oracle` runs each parameter set it is given on its
-own.  One step is a fixed linear map of the state plus the input, a few
-thousand complex multiply-adds, so a step loop would pay mostly per-step
-overhead.  The loop instead composes `_ORACLE_BLOCK_STEPS` steps into one
-sparse operator, built once per set, and advances each block of steps,
-outputs included, with one sparse matrix-vector product.
+Time domain: the same transport is discretised from the four coupled
+amplitudes (photon, intermediate P, source Rydberg S, and the gate-source
+P-pair component), with no adiabatic elimination, as an independent
+oracle.  One time step is a fixed linear map of the state plus the
+input, so under a monochromatic input the exact steady state of the
+stepping scheme is one sparse linear solve; `transmission_time_oracle`
+makes that solve for each parameter set it is given, in place of
+stepping a long pulse until it settles.
 
-The two reference solvers import scipy (`quad`, `expm`) on first call,
-so importing this module, and the pipelines that use only
+The two reference solvers import scipy (`quad`, `expm`, `spsolve`) on
+first call, so importing this module, and the pipelines that use only
 `transmission_batch`, load numpy alone.
 """
 
@@ -69,10 +68,8 @@ _GRID_GATE_OFFSETS = np.concatenate(
 # cache across the fields (about 280 rows of the default 234-point grid).
 _BLOCK_CELLS = 2**16
 
-# Time steps of the time-domain oracle composed into one sparse operator,
-# and the memory bound on one parameter set's operator, the only one that
-# exists at a time (building it peaks at about three times its size).
-_ORACLE_BLOCK_STEPS = 8
+# Memory bound on one time-domain oracle set's step operator and its LU
+# factor, the only ones that exist at a time.
 _MAX_ORACLE_SET_BYTES = 2**26
 
 _SQRT_PI = np.sqrt(np.pi)
@@ -121,11 +118,6 @@ class PropagationParams:
         if self.profile == "gaussian":
             return self.cloud_half_length * _SQRT_PI
         return 2.0 * self.cloud_half_length
-
-    @property
-    def optical_depth(self) -> float:
-        """Resonant two-level optical depth 2 g^2 L_eff / (c gamma) on axis."""
-        return 2.0 * self.g**2 * self.effective_length / (self.c * self.gamma)
 
 
 @dataclass(frozen=True)
@@ -355,14 +347,12 @@ def transmission_batch(
 
 
 class _OracleSet(NamedTuple):
-    """Cell propagators and run schedule of one time-domain oracle set."""
+    """Cell propagators of one time-domain oracle set."""
 
     g_local: np.ndarray  # local coupling g(z) per cell
     props: np.ndarray    # (m, m, n_z) atomic step propagators
     drive: np.ndarray    # (m, n_z) photon drive column of each step
     dt: float
-    n_t: int             # time steps of the run
-    ramp: float          # input switch-on time
     omega: float         # carrier detuning
 
 
@@ -372,21 +362,21 @@ def _oracle_set(
     gate_z: float,
     field: float,
 ) -> _OracleSet:
-    """Grid, cell propagators and run schedule of one oracle parameter set."""
+    """Grid and cell propagators of one oracle parameter set."""
     from scipy.linalg import expm
 
     span = params.z_extent
     n_z = int(round(2 * span / min(params.cloud_half_length / 60.0, 0.35))) + 1
     channels = interaction.channels
     m = 2 + len(channels)
-    # this set's block operator: (m + 1) rows per cell, each with
-    # at most (m + 1)(K + 1) entries of a 16-byte value and an 8-byte index
-    operator_bytes = 24 * n_z * (m + 1) ** 2 * (_ORACLE_BLOCK_STEPS + 1)
+    # the step operator has at most (m + 1)^2 entries per cell, each a
+    # 16-byte value and an 8-byte index; its LU factor adds about twice that
+    operator_bytes = 3 * 24 * n_z * (m + 1) ** 2
     if operator_bytes > _MAX_ORACLE_SET_BYTES:
         raise ConfigError(
             f"time-domain grid too fine: {n_z} cells need "
-            f"{operator_bytes / 2**20:.3g} MiB of block operator, above the "
-            f"{_MAX_ORACLE_SET_BYTES / 2**20:g} MiB limit; reduce the span"
+            f"{operator_bytes / 2**20:.3g} MiB of step operator and LU factor, "
+            f"above the {_MAX_ORACLE_SET_BYTES / 2**20:g} MiB limit; reduce the span"
         )
     z = np.linspace(-span, span, n_z)
     dz = z[1] - z[0]
@@ -416,26 +406,18 @@ def _oracle_set(
         step = expm(a * dt)
         props[:, :, i] = step[:m, :m]
         drive[:, i] = step[:m, m]
-
-    v_g = params.c * params.omega_rabi**2 / (params.g**2 + params.omega_rabi**2)
-    gamma_eit = params.omega_rabi**2 / params.gamma + params.gamma_s
-    duration = 16.0 * (2 * span / v_g) + 120.0 / gamma_eit
-    n_t = int(np.ceil(duration / dt))
-    return _OracleSet(g_local, props, drive, dt, n_t, 0.15 * duration, params.omega)
+    return _OracleSet(g_local, props, drive, dt, params.omega)
 
 
-def _oracle_block_operator(s: _OracleSet):
-    """Sparse operator of `_ORACLE_BLOCK_STEPS` steps of oracle set `s`.
+def _oracle_step(s: _OracleSet):
+    """One time step of oracle set `s` as y <- M y + inject u.
 
     The state is y = [x_0, ..., x_(m-1), e], each a row over the cells.
-    One step is y <- M y + inject u: the cell blocks `props`/`drive` move
-    x, the photon is advected one cell, e[z] = e[z-1] + dt/2 *
-    (g_src[z] x_0[z] + g_src[z-1] x_0[z-1]) with g_src = -i g(z), and the
-    input u is written into the first cell, whose rows of M are empty.
-    With K steps and inputs u_0..u_(K-1) the block operator maps
-    [y; u_0; ...; u_(K-1)] to [M^K y + sum_j M^(K-1-j) inject u_j; out_1;
-    ...; out_K], where out_i = read M^i y + sum_(j<i) read M^(i-1-j)
-    inject u_j is the last cell's photon after step i.
+    The cell blocks `props`/`drive` move x, the photon is advected one
+    cell, e[z] = e[z-1] + dt/2 * (g_src[z] x_0[z] + g_src[z-1] x_0[z-1])
+    with g_src = -i g(z), and the input u is written into the first cell,
+    whose rows of M are empty.  Returns the sparse CSR M and the dense
+    unit vectors `inject` (first cell's photon) and `read` (last cell's).
     """
     from scipy import sparse
 
@@ -455,19 +437,11 @@ def _oracle_block_operator(s: _OracleSet):
                            source[z - 1]])
     step = sparse.csr_array((vals, (rows, cols)), shape=(n_state, n_state))
     step.eliminate_zeros()
-    inject = sparse.csr_array(([1.0], ([index[m, 0]], [0])), shape=(n_state, 1))
-    read = sparse.csr_array(([1.0], ([0], [index[m, -1]])), shape=(1, n_state))
-
-    n_block = _ORACLE_BLOCK_STEPS
-    power = sparse.eye_array(n_state, dtype=complex, format="csr")
-    fed, reads = [], []  # M^k inject for k < K; read M^i for 1 <= i <= K
-    for _ in range(n_block):
-        fed.append(power @ inject)
-        power = step @ power
-        reads.append(read @ power)
-    out_rows = [[reads[i]] + [read @ fed[i - j] for j in range(i + 1)]
-                + [None] * (n_block - 1 - i) for i in range(n_block)]
-    return sparse.bmat([[power] + fed[::-1]] + out_rows, format="csr")
+    inject = np.zeros(n_state)
+    inject[index[m, 0]] = 1.0
+    read = np.zeros(n_state)
+    read[index[m, -1]] = 1.0
+    return step, inject, read
 
 
 def transmission_time_oracle(
@@ -478,59 +452,34 @@ def transmission_time_oracle(
 
     Each of `sets` is `(params, interaction, gate_z)`: the four coupled
     fields (photon, P, S, and one gate-source P-pair amplitude per channel
-    of `interaction`, for a gate on axis at `gate_z`) are integrated on a z
-    grid of spacing min(L/60, 0.35 um), L the cloud half-length, with exact
-    characteristic advection (dt = dz/c) for the photon and an exact
-    linear-propagator step for the local atomic amplitudes.  A long
-    quasi-monochromatic pulse at the carrier detuning is ramped in over a
-    run of 16 group delays plus 120 EIT relaxation times; the transmitted
-    amplitude is demodulated over the trailing 30% of the run, and a drift
-    between the two halves of that window above 5e-3 warns, naming the
-    set's index, that the run has not settled.  Returns one result per set.
+    of `interaction`, for a gate on axis at `gate_z`) are discretised on a
+    z grid of spacing min(L/60, 0.35 um), L the cloud half-length, with
+    exact characteristic advection (dt = dz/c) for the photon and an exact
+    linear-propagator step for the local atomic amplitudes.  One step is
+    the linear, time-invariant map y <- M y + inject u (`_oracle_step`),
+    so under the monochromatic input u_t = exp(-i omega t) its exact
+    steady state y_t = Y exp(-i omega t) solves
+
+        (q I - M) Y = q inject,    q = exp(-i omega dt),
+
+    one sparse LU solve per set; the transmitted amplitude is the last
+    cell's photon, read Y.  Nothing is time-stepped, so the result does
+    not depend on a run length.  Returns one result per set.
 
     Every set's grid and propagators are built first, so a set whose
     operator would exceed the size bound of `_oracle_set` fails before any
-    set runs; then each set runs on its own.  The step is linear, so
-    `_oracle_block_operator` composes K = `_ORACLE_BLOCK_STEPS` steps, with
-    their inputs and last-cell outputs, into one sparse operator of about
-    n_cells (m+1)^2 (K+1) entries (m atomic amplitudes per cell), and the
-    loop makes one matrix-vector product per block of K steps; the last
-    block runs past the set's steps and its surplus outputs are dropped.
-    On a default set (about 170 cells, a 2-vCPU machine) a step costs
-    3-5 us, against about 33 us for a step-by-step loop.
+    set is solved.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import spsolve
+
     built = [_oracle_set(params, inter, gate_z, field)
              for params, inter, gate_z in sets]
     results = []
-    for k, s in enumerate(built):
-        n_t = s.n_t
-        n_blocks = -(-n_t // _ORACLE_BLOCK_STEPS)
-        tt = np.arange(n_blocks * _ORACLE_BLOCK_STEPS) * s.dt + s.dt
-        envelope = 0.5 * (1.0 + np.tanh((tt - 2.5 * s.ramp) / (0.5 * s.ramp)))
-        # each block's [u_0; ...; u_(K-1)]
-        inputs = (envelope * np.exp(-1j * s.omega * tt)).reshape(n_blocks, -1)
-
-        block = _oracle_block_operator(s)
-        n_state = block.shape[0] - _ORACLE_BLOCK_STEPS
-        y_u = np.zeros(block.shape[1], dtype=complex)
-        raw = np.empty_like(inputs)
-        for b in range(n_blocks):
-            y_u[n_state:] = inputs[b]
-            w = block @ y_u
-            y_u[:n_state] = w[:n_state]
-            raw[b] = w[n_state:]
-
-        out = raw.ravel()[:n_t] * np.exp(1j * s.omega * tt[:n_t])
-        measure_start = int(0.7 * n_t)
-        half = np.mean(out[measure_start:(measure_start + n_t) // 2])
-        amp = np.mean(out[measure_start:])
-        if abs(amp) > 1e-12:
-            drift = abs(amp - half) / max(abs(amp), 1e-12)
-            if drift > 5e-3:
-                warnings.warn(
-                    f"time-domain oracle set {k} not fully settled "
-                    f"(drift {drift:.2e}); its intensity is not converged",
-                    stacklevel=2,
-                )
+    for s in built:
+        step, inject, read = _oracle_step(s)
+        q = np.exp(-1j * s.omega * s.dt)
+        lhs = q * sparse.eye_array(step.shape[0], format="csr") - step
+        amp = read @ spsolve(lhs, q * inject)
         results.append(TransmissionResult(amplitude=complex(amp)))
     return results

@@ -141,28 +141,6 @@ def photon_channel(
     return PhotonChannel(grid=grid, transmit=t, scatter=scatter.T)
 
 
-def apply_channel(
-    state: SpinWaveState, channel: PhotonChannel
-) -> Tuple[SpinWaveState, float, float]:
-    """State after one source photon, with transmit/scatter probabilities."""
-    rho_p, rho_s = channel_branches(state.rho, channel)
-    p_t = float(np.trace(rho_p).real)
-    p_s = float(np.trace(rho_s).real)
-    rho_f = rho_p + rho_s
-    rho_f = rho_f / np.trace(rho_f).real
-    return SpinWaveState(grid=state.grid, rho=rho_f), p_t, p_s
-
-
-def channel_branches(
-    rho: np.ndarray, channel: PhotonChannel
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Unnormalized transmitted and scattered branches of the output state."""
-    t = channel.transmit
-    rho_p = np.outer(t, t.conj()) * rho
-    rho_s = _scatter_overlap(channel.scatter) * rho
-    return rho_p, rho_s
-
-
 def _psd_sqrt(rho: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     w, v = np.linalg.eigh(rho)
     if w.min() < -tol * max(1.0, w.max()):

@@ -195,7 +195,9 @@ def test_criterion_4_analytic_limits(setup):
     blocked = transmission_freq(
         (0.0, 0.0), (0.0, 0.0, 0.0), blocked_params, inter
     ).intensity
-    od_limit = np.exp(-blocked_params.optical_depth)
+    # resonant two-level optical depth 2 g^2 L_eff / (c gamma) on axis
+    od_limit = np.exp(-2.0 * blocked_params.g**2 * blocked_params.effective_length
+                      / (blocked_params.c * blocked_params.gamma))
     blockade_ok = abs(blocked - od_limit) <= 0.01 * od_limit
 
     # (c) far-detuned potential matches perturbation theory to 1e-3
@@ -364,3 +366,14 @@ def test_fidelity_criterion_holds_on_every_seed(tmp_path, seed):
     })
     headline = run_experiment(cfg)
     assert _fidelity_ok(headline, tmp_path) == (True, True, True), headline
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_oracle_criterion_holds_on_every_seed(tmp_path, seed):
+    """Criterion 3 on seeds 0-9: the time-domain oracle's steady state
+    agrees with the frequency solver on 10 random sets within 0.01."""
+    cfg = load_config(None, "oracle-check", {"seed": seed,
+                                             "output_dir": str(tmp_path)})
+    headline = run_experiment(cfg)
+    assert headline["n_sets"] == 10, headline
+    assert headline["max_abs_diff"] < 0.01, headline

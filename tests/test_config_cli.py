@@ -310,6 +310,12 @@ class TestCli:
              "g_peak = 9.47595e+199 rad/us is too large"),
             ("gain-scan", ["--set", "omega_rabi_mhz=1e300", "--set", "field_grid=0.71"],
              "omega_rabi = 6.28319e+300 rad/us is too large"),
+            ("gain-scan", ["--set", "omega_mhz=1e160", "--set", "field_grid=0.71"],
+             "omega = 6.28319e+160 rad/us is too large"),
+            ("gain-scan", ["--set", "omega_mhz=1e300", "--set", "field_grid=0.71"],
+             "omega = 6.28319e+300 rad/us is too large"),
+            ("retrieval", ["--set", "retrieval_field=50"],
+             "retrieval_field must be <= 2 V/cm"),
         ],
     )
     def test_bad_scan_input_exits_with_config_code(self, tmp_path, scan, args,
@@ -323,11 +329,11 @@ class TestCli:
         assert not (tmp_path / "summary.json").exists()
 
     def test_retrieval_summary_is_strict_json(self, tmp_path):
-        # far off resonance the model curve never reaches one scattered
+        # off resonance the model curve never reaches one scattered
         # photon, so the interpolated headline has no value
         runner = CliRunner()
         result = runner.invoke(main, [
-            "retrieval", "--set", "retrieval_field=5.0",
+            "retrieval", "--set", "retrieval_field=1.0",
             "--set", "retrieval_offsets=1", "--set", "spinwave_points=11",
             "--out", str(tmp_path),
         ])

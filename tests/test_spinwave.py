@@ -16,9 +16,7 @@ from rydsim.propagation import chi_values, eit_baseline
 from rydsim.spinwave import (
     PhotonChannel,
     SpinWaveState,
-    apply_channel,
     blockade_beam_fraction,
-    channel_branches,
     limit_curves,
     photon_channel,
     retrieval_efficiency_curve,
@@ -48,6 +46,26 @@ def _dephasing_channel(grid):
     n = grid.size
     return PhotonChannel(grid=grid, transmit=np.zeros(n),
                          scatter=np.eye(n, dtype=complex))
+
+
+def channel_branches(rho, channel):
+    """Unnormalized transmitted and scattered branches of the output state."""
+    t = channel.transmit
+    rho_p = np.outer(t, t.conj()) * rho
+    rho_s = spinwave._scatter_overlap(channel.scatter) * rho
+    return rho_p, rho_s
+
+
+def apply_channel(state, channel):
+    """State after one source photon, with transmit/scatter probabilities:
+    the reference the pipelines' `decoherence_matrix` and `p_s` are
+    checked against."""
+    rho_p, rho_s = channel_branches(state.rho, channel)
+    p_t = float(np.trace(rho_p).real)
+    p_s = float(np.trace(rho_s).real)
+    rho_f = rho_p + rho_s
+    rho_f = rho_f / np.trace(rho_f).real
+    return SpinWaveState(grid=state.grid, rho=rho_f), p_t, p_s
 
 
 class TestStoredState:
