@@ -20,10 +20,10 @@ by adaptive quadrature as an independent reference.  Both evaluate the
 blockade term in one real-arithmetic kernel, `_blockade_kernel`: with
 V_ef = C/d^6 it is w / (a - i*beta), where w = g^2/d^6 and
 beta = gamma/d^6 do not depend on the field and a = Omega^2/C is one
-complex scalar per field.  `transmission_batch` runs its field loop over
-row blocks of about 2^16 cells, so the tables a block reads stay in cache
-while every field passes over them; rows are independent, so the result
-does not depend on the blocking.
+complex scalar per field.  `transmission_batch` builds its grid and runs
+its field loop one row block of about 2^15 cells at a time, so the tables
+a block reads stay in cache while every field passes over them; rows are
+independent, so the result does not depend on the blocking.
 
 Time domain: the same transport is discretised from the four coupled
 amplitudes (photon, intermediate P, source Rydberg S, and the gate-source
@@ -63,10 +63,11 @@ _GRID_GATE_OFFSETS = np.concatenate(
     [-np.geomspace(0.05, 25.0, 36)[::-1], [0.0], np.geomspace(0.05, 25.0, 36)]
 )
 
-# Cells (rows x grid points) of one row block of `transmission_batch`'s
-# field loop: its q and v buffers and the w and beta rows they read stay in
-# cache across the fields (about 280 rows of the default 234-point grid).
-_BLOCK_CELLS = 2**16
+# Cells (rows x grid points) of one row block of `transmission_batch`: the
+# block's grid, w and beta rows and its q and v buffers (1 MiB in all) stay
+# in cache across the fields, and a call holds no array of all its rows'
+# grid points (about 140 rows of the 234-point grid).
+_BLOCK_CELLS = 2**15
 
 # Memory bound on one time-domain oracle set's step operator and its LU
 # factor, the only ones that exist at a time.
@@ -105,12 +106,21 @@ class PropagationParams:
         if self.z_extent == 0.0:
             object.__setattr__(self, "z_extent", 3.0 * self.cloud_half_length)
 
-    def relative_density(self, z):
-        """n(z)/n_peak along the axis."""
+    def relative_density(self, z, out=None):
+        """n(z)/n_peak along the axis; `out` is an optional array of the
+        shape of `z` that receives it."""
         z = np.asarray(z, dtype=float)
+        if out is None:
+            if self.profile == "gaussian":
+                return np.exp(-((z / self.cloud_half_length) ** 2))
+            return np.where(np.abs(z) <= self.cloud_half_length, 1.0, 0.0)
         if self.profile == "gaussian":
-            return np.exp(-((z / self.cloud_half_length) ** 2))
-        return np.where(np.abs(z) <= self.cloud_half_length, 1.0, 0.0)
+            np.divide(z, self.cloud_half_length, out=out)
+            np.square(out, out=out)
+            np.negative(out, out=out)
+            return np.exp(out, out=out)
+        np.abs(z, out=out)
+        return np.less_equal(out, self.cloud_half_length, out=out, casting="unsafe")
 
     @property
     def effective_length(self) -> float:
@@ -146,28 +156,68 @@ def _check_validity(params: PropagationParams, gamma_p: float = 0.0) -> None:
 def chi_values(
     z,
     params: PropagationParams,
-    vef_prefactor: complex = 0.0,
-    gate_z: float = 0.0,
-    transverse_dist_sq: float = 0.0,
-    density_scale: float = 1.0,
+    vef_prefactor=0.0,
+    gate_z=0.0,
+    transverse_dist_sq=0.0,
+    density_scale=1.0,
+    out: Optional[np.ndarray] = None,
 ):
-    """Vectorized complex susceptibility chi(z) (rad/us * (um/us) / um)."""
+    """Vectorized complex susceptibility chi(z) (rad/us * (um/us) / um).
+
+    `z`, `gate_z`, `transverse_dist_sq` and `density_scale` broadcast
+    together.  `vef_prefactor` is one V_ef prefactor or a 1-D grid of them;
+    a grid puts its axis first in the result.  For a grid, or with `out`
+    (a complex array of the result's shape, written in place), g^2, d^6,
+    w = g^2/d^6 and beta = gamma/d^6 are computed once and each
+    prefactor's Re chi and Im chi are written in real arithmetic; a scalar
+    prefactor with no `out` takes the complex form, which gives the same
+    values and allocates less for a single point.
+    """
     z = np.asarray(z, dtype=float)
     g_sq = params.g**2 * density_scale * params.relative_density(z)
     eit = (params.omega + 1j * params.gamma_s) / params.omega_rabi**2
-    chi = g_sq * eit
-    if vef_prefactor != 0.0:
-        d6 = _clamped_d6(z - gate_z, transverse_dist_sq)
-        a = complex(params.omega_rabi**2 / vef_prefactor)
-        q, v = _blockade_kernel(g_sq / d6, params.gamma / d6, a)
-        chi = chi + q * (a.real - 1j * v)
-    return chi
+    if out is None and np.ndim(vef_prefactor) == 0:
+        chi = g_sq * eit
+        if vef_prefactor != 0.0:
+            d6 = _clamped_d6(z - gate_z, transverse_dist_sq)
+            a = complex(params.omega_rabi**2 / vef_prefactor)
+            q, v = _blockade_kernel(g_sq / d6, params.gamma / d6, a)
+            chi = chi + q * (a.real - 1j * v)
+        return chi
+
+    prefactors = np.asarray(vef_prefactor, dtype=complex)
+    dz = z - gate_z
+    d6 = np.empty(np.broadcast_shapes(dz.shape, np.shape(transverse_dist_sq)))
+    d6 = _clamped_d6(dz, transverse_dist_sq, out=d6)
+    del dz
+    w = g_sq / d6
+    beta = np.divide(params.gamma, d6, out=d6)
+    if out is None:
+        out = np.empty(prefactors.shape + w.shape, dtype=complex)
+    chi = out.reshape((prefactors.size,) + w.shape, copy=False)
+    q = np.empty_like(w)
+    v = np.empty_like(w)
+    # Re chi = g^2 Re(eit) + q Re(a) and Im chi = g^2 Im(eit) - q v: the
+    # complex form's values, since the real factors carry no imaginary part
+    for k, pref in enumerate(prefactors.reshape(-1)):
+        re, im = chi[k].real, chi[k].imag
+        if pref == 0.0:
+            np.multiply(g_sq, eit.real, out=re)
+            np.multiply(g_sq, eit.imag, out=im)
+            continue
+        a = complex(params.omega_rabi**2 / complex(pref))
+        _blockade_kernel(w, beta, a, q=q, v=v)
+        np.multiply(q, a.real, out=re)
+        re += g_sq * eit.real
+        np.multiply(q, v, out=im)
+        np.subtract(g_sq * eit.imag, im, out=im)
+    return out
 
 
 def _clamped_d6(dz, transverse_dist_sq, out=None):
-    """d^6 with d^2 = dz^2 + b^2 clamped at R_MIN^2; `out` may be `dz`."""
-    d_sq = np.square(dz, out=out)
-    d_sq += transverse_dist_sq
+    """d^6 with d^2 = dz^2 + b^2 clamped at R_MIN^2; `out` may be `dz`, or
+    an array of the broadcast shape of `dz` and `transverse_dist_sq`."""
+    d_sq = np.add(np.square(dz, out=out), transverse_dist_sq, out=out)
     d_sq = np.maximum(d_sq, R_MIN**2, out=out)
     return np.power(d_sq, 3, out=out)
 
@@ -269,9 +319,38 @@ def _graded_grid(z_extent: float, gate_z):
     full = np.concatenate(
         [np.broadcast_to(base, (gate_z.size, base.size)), grids], axis=1
     )
-    full = np.clip(full, -z_extent, z_extent)
+    np.clip(full, -z_extent, z_extent, out=full)
     full.sort(axis=1)
     return full
+
+
+def _blockade_rows(params, field_a, gate_z, t_dist_sq, scale, q, v, out):
+    """Blockade integrals of one row block of `transmission_batch`.
+
+    Builds the block's graded grid, w and beta, then for each
+    (field index k, a) of `field_a` writes the row sums of the blockade
+    term into `out[k]`.  `q` and `v` are work buffers with at least the
+    block's rows; they hold the grid steps and the relative density until
+    the field loop needs them.
+    """
+    z = _graded_grid(params.z_extent, gate_z)
+    q, v = q[: z.shape[0]], v[: z.shape[0]]
+    # trapezoid weights times local g^2, then over d^6
+    dz = np.subtract(z[:, 1:], z[:, :-1], out=v[:, :-1])
+    w = np.zeros_like(z)
+    w[:, 1:] = dz
+    w[:, :-1] += dz
+    w *= params.relative_density(z, out=q)
+    w *= (0.5 * params.g**2) * scale[:, None]
+    # z becomes d^6, then beta, in place
+    z -= gate_z[:, None]
+    d6 = _clamped_d6(z, t_dist_sq[:, None], out=z)
+    w /= d6
+    beta = np.divide(params.gamma, d6, out=z)
+    for k, a in field_a:
+        _blockade_kernel(w, beta, a, q=q, v=v)
+        out[k].real = a.real * q.sum(axis=1)
+        out[k].imag = -np.einsum("ij,ij->i", q, v)
 
 
 def transmission_batch(
@@ -291,14 +370,16 @@ def transmission_batch(
     factor, a trapezoid sum on a graded grid refined around each gate;
     cross-validated against `transmission_freq` in the test suite.
 
-    The field enters only through the scalar `effective_c6`, so the grid
-    and the real field-free terms w = (trapezoid weight) g^2/d^6 and
-    beta = gamma/d^6 are built once per call, and every field's
-    a = Omega^2/C before the field loop.  The loop then runs over blocks
-    of at most `_BLOCK_CELLS` cells (whole rows) and, within a block,
-    over the fields: each field costs one real `_blockade_kernel` pass in
-    two reused block-sized buffers and two row reductions.  Rows are
-    independent, so the amplitudes are those of an unblocked loop.
+    The field enters only through the scalar `effective_c6`, so every
+    field's a = Omega^2/C is computed before the loop, and the grid and
+    the real field-free terms w = (trapezoid weight) g^2/d^6 and
+    beta = gamma/d^6 are built once per row.  The loop runs over blocks of
+    at most `_BLOCK_CELLS` cells (whole rows): each block builds its rows'
+    grid, w and beta, then each field costs one real `_blockade_kernel`
+    pass in two reused block-sized buffers and two row reductions.  Rows
+    are independent, so the amplitudes are those of an unblocked loop, and
+    the memory a call uses grows with its rows only through its inputs and
+    its (n_fields, n) results.
     """
     offsets = np.asarray(offsets, dtype=float)
     n = offsets.shape[0]
@@ -308,40 +389,24 @@ def transmission_batch(
         raise ValueError("field must be a scalar or a 1-D field grid")
     gate_positions = np.asarray(gate_positions, dtype=float)
     gate_z = gate_positions[:, 2]
-    z = _graded_grid(params.z_extent, gate_z)
-    dz = np.diff(z, axis=1)
-    w = np.zeros_like(z)  # trapezoid weights times local g^2, then over d^6
-    w[:, 1:] = dz
-    w[:, :-1] += dz
-    del dz
-    w *= params.relative_density(z)
-    w *= (0.5 * params.g**2) * scale[:, None]
     t_dist_sq = (offsets[:, 0] - gate_positions[:, 0]) ** 2 + (
         offsets[:, 1] - gate_positions[:, 1]
     ) ** 2
-    # z becomes d^6, then beta, in place
-    z -= gate_z[:, None]
-    d6 = _clamped_d6(z, t_dist_sq[:, None], out=z)
-    w /= d6
-    beta = np.divide(params.gamma, d6, out=z)
 
     field_a = []  # (field index, a) of every field with a blockade term
     for k, f in enumerate(fields.reshape(-1)):
         c6 = effective_c6(params.omega, float(f), interaction)
         if c6 != 0.0:
             field_a.append((k, complex(params.omega_rabi**2 / c6)))
-    rows = max(1, _BLOCK_CELLS // z.shape[1])
-    q = np.empty((min(rows, n), z.shape[1]))
+    points = _GRID_BASE_POINTS + _GRID_GATE_OFFSETS.size
+    rows = max(1, _BLOCK_CELLS // points)
+    q = np.empty((min(rows, n), points))
     v = np.empty_like(q)
     blockade = np.zeros((fields.size, n), dtype=complex)
     for lo in range(0, n, rows):
         block = slice(lo, min(lo + rows, n))
-        w_b, beta_b = w[block], beta[block]
-        q_b, v_b = q[: w_b.shape[0]], v[: w_b.shape[0]]
-        for k, a in field_a:
-            _blockade_kernel(w_b, beta_b, a, q=q_b, v=v_b)
-            blockade[k, block].real = a.real * q_b.sum(axis=1)
-            blockade[k, block].imag = -np.einsum("ij,ij->i", q_b, v_b)
+        _blockade_rows(params, field_a, gate_z[block], t_dist_sq[block],
+                       scale[block], q, v, blockade[:, block])
     amps = eit_baseline(params, scale).amplitude * np.exp(1j * blockade / params.c)
     return amps if fields.ndim else amps[0]
 
@@ -384,28 +449,27 @@ def _oracle_set(
 
     g_local = params.g * np.sqrt(params.relative_density(z))
 
-    # Per-z linear generator for (P, S, PB_1..PB_nch) plus photon drive.
-    defects = [forster_defect(ch, field) for ch in channels]
-    props = np.empty((m, m, n_z), dtype=complex)
-    drive = np.empty((m, n_z), dtype=complex)
-    a = np.zeros((m + 1, m + 1), dtype=complex)
-    for i in range(n_z):
-        a[:] = 0.0
-        a[0, 0] = -params.gamma
-        a[0, 1] = -1j * params.omega_rabi
-        a[1, 0] = -1j * params.omega_rabi
-        a[1, 1] = -params.gamma_s
-        for k, ch in enumerate(channels):
-            sep = z[i] - gate_z
-            sep = np.sign(sep) * max(abs(sep), R_MIN) if sep != 0 else R_MIN
-            v = ch.coupling / sep**3
-            a[1, 2 + k] = -1j * v
-            a[2 + k, 1] = -1j * v
-            a[2 + k, 2 + k] = -interaction.gamma_p - 1j * defects[k]
-        a[0, m] = -1j * g_local[i]  # photon drive column
-        step = expm(a * dt)
-        props[:, :, i] = step[:m, :m]
-        drive[:, i] = step[:m, m]
+    # Per-cell linear generators for (P, S, PB_1..PB_nch) plus the photon
+    # drive column, stacked over the cells and exponentiated in one call.
+    a = np.zeros((n_z, m + 1, m + 1), dtype=complex)
+    a[:, 0, 0] = -params.gamma
+    a[:, 0, 1] = -1j * params.omega_rabi
+    a[:, 1, 0] = -1j * params.omega_rabi
+    a[:, 1, 1] = -params.gamma_s
+    sep = z - gate_z
+    sep = np.where(sep != 0, np.sign(sep) * np.maximum(np.abs(sep), R_MIN), R_MIN)
+    # float_power is the scalar pow of one cell; the SIMD `sep**3` can
+    # round differently in the last bit
+    sep_cubed = np.float_power(sep, 3)
+    for k, ch in enumerate(channels):
+        v = ch.coupling / sep_cubed
+        a[:, 1, 2 + k] = -1j * v
+        a[:, 2 + k, 1] = -1j * v
+        a[:, 2 + k, 2 + k] = -interaction.gamma_p - 1j * forster_defect(ch, field)
+    a[:, 0, m] = -1j * g_local  # photon drive column
+    step = expm(a * dt)
+    props = np.moveaxis(step[:, :m, :m], 0, -1)
+    drive = step[:, :m, m].T
     return _OracleSet(g_local, props, drive, dt, params.omega)
 
 

@@ -2,28 +2,39 @@
 
 `perfbench/tracer.py` wraps rydsim functions and properties by name; a
 rename or deletion here would make every traced benchmark run fail, so it
-fails this test instead.
+fails this test instead.  A traced run also fails when a layer its
+workload uses reads 0 (`perfbench/run.py`'s `USED_LAYERS`), for example
+because a traced function was inlined into its caller; one short traced
+round of each workload checks that here.
 """
 
 import dataclasses
 import importlib
 import importlib.util
 import inspect
+import io
+import sys
 from pathlib import Path
 
 import pytest
 
-_TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("perfbench_tracer", _PERFBENCH / "tracer.py")
+# run.py imports its sibling modules (speed, checks) by plain name
+sys.path.insert(0, str(_PERFBENCH))
+try:
+    bench = _load("perfbench_run", _PERFBENCH / "run.py")
+finally:
+    sys.path.remove(str(_PERFBENCH))
 
 
 @pytest.mark.parametrize("module, attr", tracer.TARGETS)
@@ -64,3 +75,24 @@ def test_graded_grid_gives_points_per_row():
     row = propagation._graded_grid(120.0, [0.0])
     assert row.ndim == 2 and row.shape[0] == 1
     assert propagation._graded_grid(120.0, [0.0, 5.0, -30.0]).shape == (3, row.shape[1])
+
+
+@pytest.mark.parametrize("workload", sorted(bench.USED_LAYERS))
+def test_short_traced_round_reads_every_used_layer(workload, tmp_path, monkeypatch):
+    from rydsim import config, runner
+
+    monkeypatch.syspath_prepend(str(_PERFBENCH))  # fidelity_window reads checks
+    calls = bench.workload_calls(workload, seed=1, short=True)
+    assert calls[0][2].items() >= bench.SHORT[workload].items()
+    t = tracer.Tracer()
+    for label, scan, overrides in calls:
+        cfg = config.load_config(
+            None, scan, {**overrides, "output_dir": str(tmp_path / label)})
+        t.install()
+        try:
+            runner.run_experiment(cfg, log=io.StringIO())
+        finally:
+            t.uninstall()
+    metrics = t.layer_metrics()
+    unread = [name for name in bench.USED_LAYERS[workload] if not metrics.get(name)]
+    assert unread == []

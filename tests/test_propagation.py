@@ -275,6 +275,31 @@ class TestBlockadeKernel:
             assert chi.shape == (grid.size, grid.size)
             assert np.all(np.abs(chi - ref) <= 1e-13 * np.abs(ref))
 
+    @_RESONANCE_WINDOWS
+    def test_chi_values_prefactor_grid_matches_scalar_calls(self, pair_system, lo, hi):
+        # one call for a prefactor grid (a zero prefactor included) and a
+        # block of source paths, written in real arithmetic, against one
+        # complex-form call per prefactor and path
+        setup, fields, c6 = _resonance_window(pair_system, lo, hi, 5)
+        params = setup.params
+        grid = np.linspace(-80.0, 80.0, 61)
+        prefs = np.append(c6, 0.0)
+        t_dist_sq = np.array([2.5, 0.0, 11.0])
+        scale = np.array([0.8, 1.0, 0.3])
+        args = (grid[:, None], t_dist_sq[:, None, None], scale[:, None, None])
+        chi = chi_values(grid[None, :], params, prefs, *args)
+        assert chi.shape == (prefs.size, 3, grid.size, grid.size)
+        out = np.empty_like(chi)
+        assert chi_values(grid[None, :], params, prefs, *args, out=out) is out
+        assert np.array_equal(out, chi)
+        for k, pref in enumerate(prefs):
+            for j in range(3):
+                ref = chi_values(grid[None, :], params, complex(pref), grid[:, None],
+                                 float(t_dist_sq[j]), float(scale[j]))
+                # with no blockade term the complex form does not broadcast
+                # over the gate positions
+                assert np.array_equal(chi[k, j], np.broadcast_to(ref, chi[k, j].shape))
+
     def test_batch_memory_peak(self, setup, rng):
         # w and beta are built once; each field reuses two real buffers
         n, fields = 2000, np.linspace(0.70, 0.72, 5)
@@ -335,6 +360,49 @@ def _stepwise_oracle(sets, length=1.0):
         out *= np.exp(1j * params.omega * tt)
         amps.append(np.mean(out[int(0.7 * n_t):]))
     return np.array(amps)
+
+
+def _looped_oracle_set(params, inter, gate_z, field):
+    """Cell propagators of one oracle set from one `expm` per cell, as
+    `_oracle_set` built them before it exponentiated the stacked cells in
+    one call."""
+    from scipy.linalg import expm
+
+    from rydsim.atomic_states import forster_defect
+
+    ref = propagation._oracle_set(params, inter, gate_z, field)
+    z = np.linspace(-params.z_extent, params.z_extent, ref.g_local.size)
+    m = 2 + len(inter.channels)
+    defects = [forster_defect(ch, field) for ch in inter.channels]
+    props = np.empty((m, m, z.size), dtype=complex)
+    drive = np.empty((m, z.size), dtype=complex)
+    a = np.zeros((m + 1, m + 1), dtype=complex)
+    for i in range(z.size):
+        a[:] = 0.0
+        a[0, 0] = -params.gamma
+        a[0, 1] = -1j * params.omega_rabi
+        a[1, 0] = -1j * params.omega_rabi
+        a[1, 1] = -params.gamma_s
+        for k, ch in enumerate(inter.channels):
+            sep = z[i] - gate_z
+            r_min = propagation.R_MIN
+            sep = np.sign(sep) * max(abs(sep), r_min) if sep != 0 else r_min
+            v = ch.coupling / sep**3
+            a[1, 2 + k] = -1j * v
+            a[2 + k, 1] = -1j * v
+            a[2 + k, 2 + k] = -inter.gamma_p - 1j * defects[k]
+        a[0, m] = -1j * ref.g_local[i]
+        step = expm(a * ref.dt)
+        props[:, :, i] = step[:m, :m]
+        drive[:, i] = step[:m, m]
+    return ref, props, drive
+
+
+def test_stacked_expm_matches_one_call_per_cell():
+    for params, inter, gate_z in _oracle_sets(12345, 10):
+        s, props, drive = _looped_oracle_set(params, inter, gate_z, 0.0)
+        assert np.array_equal(s.props, props)
+        assert np.array_equal(s.drive, drive)
 
 
 def _oracle_case(name):

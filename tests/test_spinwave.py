@@ -1,7 +1,9 @@
 """Stored spin-wave decoherence channel and retrieval efficiency."""
 
+import csv
 import dataclasses
 import inspect
+import io
 import tracemalloc
 
 import numpy as np
@@ -9,16 +11,19 @@ import pytest
 import scipy.linalg
 from scipy import stats
 
-from rydsim import spinwave
+from rydsim import runner, spinwave
+from rydsim.config import build_setup, load_config
 from rydsim.ensemble import sample_geometry
 from rydsim.errors import NumericsError
-from rydsim.propagation import chi_values, eit_baseline
+from rydsim.interaction import effective_c6
+from rydsim.propagation import chi_values, eit_baseline, transmission_batch
 from rydsim.spinwave import (
     PhotonChannel,
     SpinWaveState,
     blockade_beam_fraction,
     limit_curves,
     photon_channel,
+    poisson_overlap,
     retrieval_efficiency_curve,
     stored_spinwave,
     transverse_channels,
@@ -52,7 +57,7 @@ def channel_branches(rho, channel):
     """Unnormalized transmitted and scattered branches of the output state."""
     t = channel.transmit
     rho_p = np.outer(t, t.conj()) * rho
-    rho_s = spinwave._scatter_overlap(channel.scatter) * rho
+    rho_s = (channel.scatter.T @ channel.scatter.conj()) * rho
     return rho_p, rho_s
 
 
@@ -66,6 +71,13 @@ def apply_channel(state, channel):
     rho_f = rho_p + rho_s
     rho_f = rho_f / np.trace(rho_f).real
     return SpinWaveState(grid=state.grid, rho=rho_f), p_t, p_s
+
+
+def _curve(state, decoherence, p_scatter, means, eta_base):
+    """Retrieval curve from each gate group's matrix D: its `poisson_overlap`
+    row, as `transverse_channels(..., source_means=means)` gives it."""
+    return retrieval_efficiency_curve(
+        poisson_overlap(state, decoherence, means), p_scatter, means, eta_base)
 
 
 class TestStoredState:
@@ -183,7 +195,9 @@ class TestDenseKernels:
 
         def recording(*args, **kwargs):
             chi = chi_values(*args, **kwargs)
-            calls.append((inspect.signature(chi_values).bind(*args, **kwargs), chi))
+            # photon_channel turns chi into the scatter amplitudes in place
+            calls.append((inspect.signature(chi_values).bind(*args, **kwargs),
+                          chi.copy()))
             return chi
 
         monkeypatch.setattr(spinwave, "chi_values", recording)
@@ -226,8 +240,7 @@ class TestDenseKernels:
             setup.resonance_field, n_offsets=3, seed=0,
         )
         means = np.array([0.0, 0.5, 3.0, 20.0, 66.0, 140.0])
-        rows = retrieval_efficiency_curve(state, decoherence, p_scatter, means,
-                                          eta_base=_ETA_BASE)
+        rows = _curve(state, decoherence, p_scatter, means, eta_base=_ETA_BASE)
 
         # sum_k Poisson(k; mu) <psi| D^k o rho |psi>, truncated far in the tail
         psi = np.sqrt(np.real(np.diag(state.rho)))
@@ -263,9 +276,8 @@ class TestTriangleForm:
     means = np.array([0.0, 0.25, 1.0, 3.0, 10.0, 30.0, 66.0, 140.0])
 
     def _check(self, state, decoherence):
-        rows = retrieval_efficiency_curve(state, decoherence,
-                                          np.zeros(len(decoherence)), self.means,
-                                          eta_base=_ETA_BASE)
+        rows = _curve(state, decoherence, np.zeros(len(decoherence)), self.means,
+                      eta_base=_ETA_BASE)
         got = np.array([r.efficiency for r in rows])
         ref = _full_matrix_efficiency(state, decoherence, self.means, _ETA_BASE)
         assert np.all(ref > 0.0)
@@ -304,7 +316,7 @@ class TestTriangleForm:
         d = np.ones((21, 21), dtype=complex)
         d[3, 5] += 1e-6j  # no matching conjugate at [5, 3]
         with pytest.raises(NumericsError, match="not Hermitian"):
-            retrieval_efficiency_curve(state, d[None], np.zeros(1), [1.0], eta_base=0.2)
+            _curve(state, d[None], np.zeros(1), [1.0], eta_base=0.2)
 
     def test_complex_overlap_weights_raise(self):
         grid = np.linspace(-1.0, 1.0, 5)
@@ -312,14 +324,14 @@ class TestTriangleForm:
         state = SpinWaveState(grid=grid, rho=np.outer(amp, amp.conj()))
         d = np.ones((5, 5), dtype=complex)
         with pytest.raises(NumericsError, match="not real"):
-            retrieval_efficiency_curve(state, d[None], np.zeros(1), [1.0], eta_base=0.2)
+            _curve(state, d[None], np.zeros(1), [1.0], eta_base=0.2)
 
 
 class TestRetrievalCurve:
     def test_zero_source_efficiency_is_storage_decay_only(self, setup):
         state = stored_spinwave(setup.geometry, n_points=101)
         d = _identity_channel(state.grid).decoherence_matrix
-        rows = retrieval_efficiency_curve(
+        rows = _curve(
             state, d[None], np.zeros(1), [0.0], eta_base=_ETA_BASE,
         )
         assert rows[0].efficiency == pytest.approx(_ETA_BASE, rel=1e-9)
@@ -330,7 +342,7 @@ class TestRetrievalCurve:
         ch = photon_channel(state.grid, setup.params, setup.interaction,
                             setup.resonance_field)
         _, _, p_s = apply_channel(state, ch)
-        rows = retrieval_efficiency_curve(
+        rows = _curve(
             state, ch.decoherence_matrix[None], np.array([p_s]),
             [0.0, 1.0, 4.0, 16.0, 64.0], eta_base=0.2,
         )
@@ -364,7 +376,7 @@ class TestRetrievalCurve:
             # gamma_s = 0 makes the gate-free baseline 1, so every
             # scattered photon counts
             _, _, p_s = apply_channel(state, ch)
-            rows = retrieval_efficiency_curve(
+            rows = _curve(
                 state, ch.decoherence_matrix[None], np.array([p_s]), means,
                 eta_base=0.2,
             )
@@ -434,6 +446,151 @@ class TestRetrievalCurve:
         finally:
             tracemalloc.stop()
         assert peak < 24 * matrix_bytes
+
+
+class TestPathBlocks:
+    """Channels built for a field grid and a block of source paths against
+    one channel per field and path."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, setup):
+        state = stored_spinwave(setup.geometry, n_points=61)
+        samples = sample_geometry(setup.geometry, 3, np.random.default_rng(5))
+        return state, samples, np.array([setup.resonance_field, 0.0])
+
+    def test_field_grid_matches_scalar_field_channels(self, setup, paths):
+        state, samples, fields = paths
+        kw = dict(gate_offset=tuple(samples.gates[0, :2]),
+                  source_offset=tuple(samples.offsets[0]),
+                  density_scale=float(samples.density_scales[0]))
+        ch = photon_channel(state.grid, setup.params, setup.interaction, fields, **kw)
+        assert ch.transmit.shape == (2, 1, 61)
+        assert ch.scatter.shape == (2, 1, 61, 61)
+        d = ch.decoherence_matrix
+        for k, field in enumerate(fields):
+            one = photon_channel(state.grid, setup.params, setup.interaction,
+                                 float(field), **kw)
+            assert one.transmit.shape == (61,) and one.scatter.shape == (61, 61)
+            assert np.array_equal(ch.transmit[k, 0], one.transmit)
+            assert np.array_equal(ch.scatter[k, 0], one.scatter)
+            assert np.array_equal(d[k], one.decoherence_matrix)
+
+    def test_mixture_is_the_mean_of_its_paths(self, setup, paths):
+        state, samples, fields = paths
+        args = (state.grid, setup.params, setup.interaction, fields)
+        gate = tuple(samples.gates[1, :2])
+        mix = photon_channel(*args, gate_offset=gate, source_offset=samples.offsets,
+                             density_scale=samples.density_scales)
+        assert mix.transmit.shape == (2, 3, 61)
+        assert mix.scatter.shape == (2, 3, 61, 61)
+        d = mix.decoherence_matrix
+        assert d.shape == (2, 61, 61)
+        assert np.array_equal(d, np.conj(np.swapaxes(d, -1, -2)))
+        singles = []
+        for j in range(3):
+            one = photon_channel(*args, gate_offset=gate,
+                                 source_offset=tuple(samples.offsets[j]),
+                                 density_scale=float(samples.density_scales[j]))
+            assert np.array_equal(mix.transmit[:, j], one.transmit[:, 0])
+            assert np.array_equal(mix.scatter[:, j], one.scatter[:, 0])
+            singles.append(one.decoherence_matrix)
+        assert np.array_equal(d, np.mean(singles, axis=0))
+
+    def test_transverse_channels_on_a_field_grid(self, setup, paths):
+        state, _, fields = paths
+        args = (state, setup.geometry, setup.params, setup.interaction)
+        # 4 paths: a block of 3 and a block of 1
+        d, p = transverse_channels(*args, fields, n_offsets=4, seed=3)
+        assert d.shape == (2, 4, 61, 61) and p.shape == (2, 4)
+        means = [0.0, 1.0, 7.5, 40.0]
+        overlap, p_rows = transverse_channels(*args, fields, n_offsets=4, seed=3,
+                                              source_means=means)
+        assert overlap.shape == (2, 4, 4)
+        assert np.array_equal(p_rows, p)
+        for k, field in enumerate(fields):
+            d_k, p_k = transverse_channels(*args, float(field), n_offsets=4, seed=3)
+            assert np.array_equal(d[k], d_k)
+            assert np.array_equal(p[k], p_k)
+            assert np.array_equal(overlap[k], poisson_overlap(state, d_k, means))
+
+
+def _single_path_channel(grid, params, interaction, field, gate, source, scale):
+    """Transmission and scatter amplitudes of one source path, as
+    `photon_channel` built them before it took field grids and path blocks:
+    the complex-form chi table and a new complex scatter array."""
+    n = grid.size
+    gates = np.column_stack([np.full(n, gate[0]), np.full(n, gate[1]), grid])
+    t = transmission_batch(np.tile(source, (n, 1)), gates, params, interaction,
+                           field, density_scale=scale)
+    mag = np.abs(t)
+    t = np.where(mag > 1.0, t / mag, t)
+    pref = effective_c6(params.omega, field, interaction)
+    t_dist_sq = (source[0] - gate[0]) ** 2 + (source[1] - gate[1]) ** 2
+    chi = chi_values(grid[None, :], params, pref, grid[:, None], t_dist_sq, scale)
+    dz = np.gradient(grid)
+    weights = np.clip(chi.imag, 0.0, None) * dz[None, :]
+    norm = weights.sum(axis=1)
+    weights = weights / np.where(norm > 0, norm, 1.0)[:, None]
+    lost = np.clip(1.0 - np.abs(t) ** 2, 0.0, None)
+    phase = np.cumsum(chi.real * dz[None, :], axis=1) / params.c
+    scatter = np.exp(1j * phase) * np.sqrt(lost[:, None] * weights)
+    return t, scatter.T
+
+
+def _per_channel_curves(setup, cfg):
+    """Efficiency and scattered-photon number of the two model curves of
+    `retrieval.csv`, as `runner.run_retrieval` computed them before it built
+    path blocks for both fields: one field at a time, one channel per gate
+    offset and source path, each added into its group's D with complex
+    products, then the Poisson average as a complex full-matrix sum."""
+    state = stored_spinwave(setup.geometry, cfg.spinwave_points)
+    psi = np.sqrt(np.real(np.diag(state.rho)))
+    w = psi[:, None] * state.rho * psi[None, :]
+    p_diag = np.real(np.diag(state.rho))
+    means = np.asarray(cfg.source_means, dtype=float)
+    eta_base = cfg.retrieval_eta0 * np.exp(-cfg.storage_time / cfg.intrinsic_lifetime)
+    n_off = cfg.retrieval_offsets
+    curves = {}
+    for variant, field in (("model", setup.resonance_field), ("model_zero_field", 0.0)):
+        samples = sample_geometry(setup.geometry, n_off, np.random.default_rng(cfg.seed))
+        baseline = eit_baseline(setup.params, samples.density_scales).intensity
+        overlap = np.empty((n_off, means.size))
+        excess = np.empty((n_off, n_off))
+        for i in range(n_off):
+            d = np.zeros((state.grid.size,) * 2, dtype=complex)
+            for j in range(n_off):
+                t, s = _single_path_channel(
+                    state.grid, setup.params, setup.interaction, field,
+                    samples.gates[i, :2], samples.offsets[j],
+                    float(samples.density_scales[j]))
+                d += np.outer(t, t.conj()) + s.T @ s.conj()
+                lost = 1.0 - p_diag @ np.abs(t) ** 2
+                excess[i, j] = max(lost - (1.0 - baseline[j]), 0.0)
+            d /= n_off
+            overlap[i] = [np.sum(w * np.exp(mu * (d - 1.0))).real for mu in means]
+        curves[variant] = (means * excess.mean(), eta_base * overlap.mean(axis=0))
+    return curves
+
+
+def test_retrieval_csv_matches_the_per_channel_loop(tmp_path, monkeypatch):
+    cfg = load_config(None, "retrieval", {
+        "retrieval_offsets": 3, "spinwave_points": 61, "output_dir": str(tmp_path)})
+    setup = build_setup(cfg)
+    assert cfg.retrieval_field < 0  # the resonance field
+    # full precision in the CSV, so the comparison is not one of rounding
+    monkeypatch.setattr(runner, "_fmt",
+                        lambda v: repr(v) if isinstance(v, float) else str(v))
+    runner.run_experiment(cfg, log=io.StringIO())
+    with (tmp_path / "retrieval.csv").open(encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    for variant, (n_s, eff) in _per_channel_curves(setup, cfg).items():
+        got = [r for r in rows if r["model_variant"] == variant]
+        assert [float(r["n_in_mean"]) for r in got] == list(cfg.source_means)
+        got_n_s = np.array([float(r["n_scattered_mean"]) for r in got])
+        got_eff = np.array([float(r["efficiency"]) for r in got])
+        assert np.all(eff > 0.0) and n_s[-1] > 0.0
+        assert np.allclose(got_eff, eff, rtol=1e-12, atol=0.0)
+        assert np.allclose(got_n_s, n_s, rtol=1e-12, atol=0.0)
 
 
 class TestLimitCurves:
