@@ -7,7 +7,9 @@ photon imprints the position-dependent transmission amplitude t(z_g),
 while a scattered photon projects according to where it scattered.  The
 recoverable spin-wave fraction is the overlap of the decohered state
 with the original stored mode, and the Uhlmann fidelity splits into
-transmitted and scattered branch contributions.
+transmitted and scattered branch contributions.  On the uniform grid the
+susceptibility is a column density times a kernel of the gate-scatterer
+separation alone, so a channel needs one chi row per source path.
 """
 
 from __future__ import annotations
@@ -149,6 +151,15 @@ def photon_channel(
     grid proportionally to the local scattering density Im chi(z_s; z_g),
     carrying the propagation phase accumulated up to z_s.
 
+    `grid` must be uniform, its spacing equal to 1e-9 relative (as
+    `stored_spinwave` builds it); otherwise `ValueError`.  On it chi(z_s;
+    z_g) = scale * n(z_s) * chi1(|z_s - z_g|), the relative density times
+    chi at unit density, a function of the separation m*h alone.  So the
+    one `chi_values` call takes the n separations per field and path, and
+    each (g, s) table of weights and phases is read from that row through
+    a Toeplitz view.  A field whose chi1 has no real part (a purely
+    dissipative V_ef) gets real amplitudes and computes no phase.
+
     `field` is a scalar or a 1-D field grid, as in `transmission_batch`.
     `source_offset` is one path (bx, by) or a (p, 2) block of paths, with
     `density_scale` a scalar or one per path; the channel is the mixture
@@ -156,11 +167,15 @@ def photon_channel(
     gives the single-path shapes.  Every path and field is built in one
     `transmission_batch` and one `chi_values` call.  `out`, if given, is
     a complex work array of shape field.shape + (p, n, n) for a block (or
-    (n, n) for one path at a scalar field) that receives chi and then the
-    scatter amplitudes, so the channel's `scatter` is a view of it.
+    (n, n) for one path at a scalar field) that receives the scatter
+    amplitudes, so the channel's `scatter` is a view of it.
     """
     grid = np.asarray(grid, dtype=float)
     n = grid.size
+    h = (grid[-1] - grid[0]) / (n - 1)
+    if np.max(np.abs(np.diff(grid) - h)) > 1e-9 * abs(h):
+        raise ValueError("photon_channel needs a uniform grid: the spacing of "
+                         "`grid` varies by more than 1e-9 relative")
     fields = np.asarray(field, dtype=float)
     paths = np.asarray(source_offset, dtype=float)
     one_path = paths.ndim == 1 and fields.ndim == 0
@@ -169,53 +184,51 @@ def photon_channel(
     scale = np.broadcast_to(np.asarray(density_scale, dtype=float), (n_paths,))
     gx, gy = (float(c) for c in gate_offset)
 
-    gates = np.column_stack(
-        [np.full(n_paths * n, gx), np.full(n_paths * n, gy), np.tile(grid, n_paths)]
-    )
-    t = transmission_batch(
-        np.repeat(paths, n, axis=0), gates, params, interaction, fields,
-        density_scale=np.repeat(scale, n),
-    )
+    gates = np.column_stack([np.full(n_paths * n, gx), np.full(n_paths * n, gy),
+                             np.tile(grid, n_paths)])
+    t = transmission_batch(np.repeat(paths, n, axis=0), gates, params, interaction,
+                           fields, density_scale=np.repeat(scale, n))
     t = t.reshape((n,) if one_path else fields.shape + (n_paths, n))
     # clip |t| <= 1 against roundoff
     mag = np.abs(t)
     t = np.where(mag > 1.0, t / mag, t)
+    lost = np.clip(1.0 - np.abs(t) ** 2, 0.0, None).reshape(-1, n_paths, n)
 
     prefactors = [effective_c6(params.omega, float(f), interaction)
                   for f in fields.reshape(-1)]
     t_dist_sq = (paths[:, 0] - gx) ** 2 + (paths[:, 1] - gy) ** 2
-    if one_path:
-        t_dist_sq, scale = float(t_dist_sq[0]), float(scale[0])
-    else:
-        t_dist_sq, scale = t_dist_sq[:, None, None], scale[:, None, None]
+    # chi1 at the separations m*h: scatter point at the cloud centre, where
+    # the relative density is 1, and the gate at -m*h; [field, path, m]
+    chi1 = chi_values(0.0, params, prefactors, -h * np.arange(n), t_dist_sq[:, None])
+    # the rows mirrored, so that a sliding window reads row[|s - g|] at [g, s]
+    sym = np.concatenate([chi1[..., :0:-1], chi1], axis=-1)
+    np.clip(sym.imag, 0.0, None, out=sym.imag)
+    toeplitz = np.lib.stride_tricks.sliding_window_view(sym, n, axis=-1)[..., ::-1, :]
+    # scale * n(s) * dz(s), the factor of chi1 at scattering point s; [path, 1, s]
+    u = (scale[:, None] * (params.relative_density(grid) * np.gradient(grid)))[:, None]
     if out is None:
         out = np.empty(t.shape + (n,), dtype=complex)
-    chi = chi_values(  # [..., g, s]
-        grid[None, :], params, prefactors if fields.ndim else prefactors[0],
-        grid[:, None], t_dist_sq, scale, out=out,
-    )
-    # Im chi becomes the scattering weights and Re chi the cumulative
-    # propagation phase up to each scattering point, in place
-    dz = np.gradient(grid)
-    weights = np.clip(chi.imag, 0.0, None, out=chi.imag)
-    weights *= dz
-    norm = weights.sum(axis=-1)
-    norm = np.where(norm > 0, norm, 1.0)
-    weights /= norm[..., None]
-    phase = chi.real
-    phase *= dz
-    np.cumsum(phase, axis=-1, out=phase)
-    phase /= params.c
-    lost = np.clip(1.0 - np.abs(t) ** 2, 0.0, None)
-    weights *= lost[..., None]
-    amplitude = np.sqrt(weights, out=weights)
-    # scatter = exp(i*phase) * amplitude, from real cos/sin
-    sin = np.sin(phase)
-    np.cos(phase, out=phase)
-    phase *= amplitude
-    np.multiply(sin, amplitude, out=amplitude)
-    del sin  # before the channel's completeness check allocates
-    return PhotonChannel(grid=grid, transmit=t, scatter=np.swapaxes(chi, -1, -2))
+    work = out.reshape(chi1.shape + (n,), copy=False)  # [field, path, g, s]
+    for k, table in enumerate(toeplitz):
+        real = not chi1[k].real.any()
+        weights = work[k].real if real else work[k].imag
+        np.multiply(table.imag, u, out=weights)
+        norm = weights.sum(axis=-1)
+        weights *= (lost[k] / np.where(norm > 0, norm, 1.0))[..., None]
+        amplitude = np.sqrt(weights, out=weights)
+        if real:
+            work[k].imag = 0.0
+            continue
+        # the cumulative propagation phase up to each scattering point, then
+        # scatter = exp(i*phase) * amplitude from real cos/sin
+        phase = np.multiply(table.real, u / params.c, out=work[k].real)
+        np.cumsum(phase, axis=-1, out=phase)
+        sin = np.sin(phase)
+        np.cos(phase, out=phase)
+        phase *= amplitude
+        np.multiply(sin, amplitude, out=amplitude)
+        del sin  # before the next field, and the completeness check, allocate
+    return PhotonChannel(grid=grid, transmit=t, scatter=np.swapaxes(out, -1, -2))
 
 
 def _psd_sqrt(rho: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -401,30 +414,10 @@ def limit_curves(
     """
     rows = []
     for mean in np.asarray(source_means, dtype=float):
-        rows.append(
-            RetrievalPoint(
-                float(mean),
-                float(mean * p_scatter),
-                float(eta_base * math.exp(-mean * p_scatter)),
-                "black",
-            )
-        )
-        rows.append(
-            RetrievalPoint(
-                float(mean),
-                float(mean * p_scatter),
-                float(eta_base * math.exp(-mean)),
-                "dashed",
-            )
-        )
-        rows.append(
-            RetrievalPoint(
-                float(mean),
-                float(mean * p_scatter),
-                float(eta_base * math.exp(-mean * blockade_fraction)),
-                "dotted",
-            )
-        )
+        for variant, rate in (("black", p_scatter), ("dashed", 1.0),
+                              ("dotted", blockade_fraction)):
+            rows.append(RetrievalPoint(float(mean), float(mean * p_scatter),
+                                       float(eta_base * math.exp(-mean * rate)), variant))
     return rows
 
 

@@ -2,7 +2,6 @@
 
 import csv
 import dataclasses
-import inspect
 import io
 import tracemalloc
 
@@ -190,33 +189,71 @@ class TestDenseKernels:
                             source_offset=(-2.0, 1.0), density_scale=0.8)
         return state, ch
 
-    def test_channel_chi_matrix_matches_row_calls(self, setup, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("n", [61, 60], ids=["odd-n", "even-n"])
+    @pytest.mark.parametrize("at_resonance", [True, False],
+                             ids=["resonance", "zero-field"])
+    @pytest.mark.parametrize("gate, source, scale", [
+        ((0.0, 0.0), (0.0, 0.0), 1.0),
+        ((1.5, -0.5), (-2.0, 1.0), 0.8),
+    ], ids=["on-axis", "off-axis"])
+    def test_channel_matches_dense_row_reference(self, setup, monkeypatch, n,
+                                                 at_resonance, gate, source, scale):
+        calls = _count_chi_calls(monkeypatch)
+        grid = stored_spinwave(setup.geometry, n_points=n).grid
+        field = setup.resonance_field if at_resonance else 0.0
+        ch = photon_channel(grid, setup.params, setup.interaction, field,
+                            gate_offset=gate, source_offset=source, density_scale=scale)
+        assert calls == [1]
+        _assert_matches_dense_reference(ch.transmit, ch.scatter, grid, setup, field,
+                                        gate, source, scale)
 
-        def recording(*args, **kwargs):
-            chi = chi_values(*args, **kwargs)
-            # photon_channel turns chi into the scatter amplitudes in place
-            calls.append((inspect.signature(chi_values).bind(*args, **kwargs),
-                          chi.copy()))
-            return chi
+    def test_path_block_on_a_field_grid_matches_dense_row_reference(
+            self, setup, monkeypatch):
+        calls = _count_chi_calls(monkeypatch)
+        grid = stored_spinwave(setup.geometry, n_points=60).grid
+        samples = sample_geometry(setup.geometry, 3, np.random.default_rng(11))
+        fields = np.array([setup.resonance_field, 0.0, 1.3])
+        gate = tuple(samples.gates[0, :2])
+        ch = photon_channel(grid, setup.params, setup.interaction, fields,
+                            gate_offset=gate, source_offset=samples.offsets,
+                            density_scale=samples.density_scales)
+        assert calls == [1]
+        assert ch.scatter.shape == (3, 3, 60, 60)
+        for k, field in enumerate(fields):
+            for j in range(3):
+                _assert_matches_dense_reference(
+                    ch.transmit[k, j], ch.scatter[k, j], grid, setup, float(field),
+                    gate, samples.offsets[j], float(samples.density_scales[j]))
 
-        monkeypatch.setattr(spinwave, "chi_values", recording)
+    def test_resonance_field_channel_is_real(self, off_axis):
+        # V_ef is purely dissipative there: no propagation phase
+        _, ch = off_axis
+        assert ch.scatter.real.any()
+        assert not ch.scatter.imag.any()
+        assert not ch.decoherence_matrix.imag.any()
+
+    def test_detuned_resonance_keeps_the_phase(self):
+        setup = build_setup(load_config(None, "retrieval", {"omega_mhz": 5.0}))
+        grid = stored_spinwave(setup.geometry, n_points=61).grid
+        kw = dict(gate=(1.5, -0.5), source=(-2.0, 1.0), scale=0.8)
+        # 5 MHz is outside the adiabatic regime, which transport reports
+        with pytest.warns(UserWarning, match="omega = "):
+            ch = photon_channel(grid, setup.params, setup.interaction,
+                                setup.resonance_field, gate_offset=kw["gate"],
+                                source_offset=kw["source"], density_scale=kw["scale"])
+            _assert_matches_dense_reference(ch.transmit, ch.scatter, grid, setup,
+                                            setup.resonance_field, **kw)
+        assert ch.scatter.imag.any()
+
+    def test_non_uniform_grid_raises(self, setup):
         grid = np.linspace(-80.0, 80.0, 61)
-        photon_channel(grid, setup.params, setup.interaction,
-                       setup.resonance_field, gate_offset=(1.5, -0.5),
-                       source_offset=(-2.0, 1.0), density_scale=0.8)
-        ((bound, dense),) = calls
-        a = bound.arguments
-        assert a["transverse_dist_sq"] == pytest.approx(3.5**2 + 1.5**2)
-        assert a["density_scale"] == 0.8
-        # row g: chi at every scattering point s for the gate at grid[g]
-        rows = np.stack([
-            chi_values(grid, a["params"], a["vef_prefactor"], gz,
-                       a["transverse_dist_sq"], a["density_scale"])
-            for gz in grid
-        ])
-        assert dense.shape == rows.shape
-        assert np.max(np.abs(dense - rows)) <= 1e-12 * np.max(np.abs(rows))
+        args = (setup.params, setup.interaction, setup.resonance_field)
+        nudged = grid.copy()
+        nudged[30] += 1e-11 * (grid[1] - grid[0])
+        photon_channel(nudged, *args)  # uniform to 1e-9 relative
+        nudged[30] = grid[30] + 1e-6 * (grid[1] - grid[0])
+        with pytest.raises(ValueError, match="uniform grid"):
+            photon_channel(nudged, *args)
 
     def test_decoherence_matrix_matches_einsum(self, off_axis):
         _, ch = off_axis
@@ -535,6 +572,28 @@ def _single_path_channel(grid, params, interaction, field, gate, source, scale):
     phase = np.cumsum(chi.real * dz[None, :], axis=1) / params.c
     scatter = np.exp(1j * phase) * np.sqrt(lost[:, None] * weights)
     return t, scatter.T
+
+
+def _count_chi_calls(monkeypatch):
+    """Record one entry per `chi_values` call that `photon_channel` makes."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return chi_values(*args, **kwargs)
+
+    monkeypatch.setattr(spinwave, "chi_values", counting)
+    return calls
+
+
+def _assert_matches_dense_reference(transmit, scatter, grid, setup, field, gate,
+                                    source, scale):
+    """One path's amplitudes against `_single_path_channel`, 1e-12 relative."""
+    t, s = _single_path_channel(grid, setup.params, setup.interaction, field,
+                                gate, source, scale)
+    assert np.array_equal(transmit, t)
+    assert scatter.shape == s.shape
+    assert np.max(np.abs(scatter - s)) <= 1e-12 * np.max(np.abs(s))
 
 
 def _per_channel_curves(setup, cfg):
