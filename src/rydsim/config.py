@@ -320,6 +320,17 @@ def build_setup(config: RunConfig) -> SimulationSetup:
             f"cloud geometry gives peak density {density:g} um^-3 and "
             f"g_peak {g_peak:g}; both must be finite and > 0"
         )
+    # an extreme beam_waist underflows or overflows the gate's transverse
+    # spread, which the gain, fidelity and retrieval scans sample from
+    try:
+        sigma = geometry.gate_transverse_sigma
+    except (ZeroDivisionError, OverflowError):
+        sigma = math.nan
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ConfigError(
+            f"beam_waist = {config.beam_waist:g} um gives the gate a transverse "
+            f"spread of {sigma:g} um; it must be finite and > 0"
+        )
     omega_rabi = from_mhz(config.omega_rabi_mhz)
     # the transport formulas square both couplings
     for name, rate in (("g_peak", g_peak), ("omega_rabi", omega_rabi)):

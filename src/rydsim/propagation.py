@@ -20,10 +20,12 @@ by adaptive quadrature as an independent reference.  Both evaluate the
 blockade term in one real-arithmetic kernel, `_blockade_kernel`: with
 V_ef = C/d^6 it is w / (a - i*beta), where w = g^2/d^6 and
 beta = gamma/d^6 do not depend on the field and a = Omega^2/C is one
-complex scalar per field.  `transmission_batch` builds its grid and runs
-its field loop one row block of about 2^15 cells at a time, so the tables
-a block reads stay in cache while every field passes over them; rows are
-independent, so the result does not depend on the blocking.
+complex scalar per field; `chi_values` adds that term to the EIT term in
+one complex form, for one V_ef prefactor or a grid of them.
+`transmission_batch` builds its grid and runs its field loop one row
+block of about 2^15 cells at a time, so the tables a block reads stay in
+cache while every field passes over them; rows are independent, so the
+result does not depend on the blocking.
 
 Time domain: the same transport is discretised from the four coupled
 amplitudes (photon, intermediate P, source Rydberg S, and the gate-source
@@ -31,8 +33,8 @@ P-pair component), with no adiabatic elimination, as an independent
 oracle.  One time step is a fixed linear map of the state plus the
 input, so under a monochromatic input the exact steady state of the
 stepping scheme is one sparse linear solve; `transmission_time_oracle`
-makes that solve for each parameter set it is given, in place of
-stepping a long pulse until it settles.
+builds each parameter set it is given and makes that solve, one set at a
+time, in place of stepping a long pulse until it settles.
 
 The two reference solvers import scipy (`quad`, `expm`, `spsolve`) on
 first call, so importing this module, and the pipelines that use only
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -111,9 +113,7 @@ class PropagationParams:
         shape of `z` that receives it."""
         z = np.asarray(z, dtype=float)
         if out is None:
-            if self.profile == "gaussian":
-                return np.exp(-((z / self.cloud_half_length) ** 2))
-            return np.where(np.abs(z) <= self.cloud_half_length, 1.0, 0.0)
+            out = np.empty_like(z)
         if self.profile == "gaussian":
             np.divide(z, self.cloud_half_length, out=out)
             np.square(out, out=out)
@@ -160,63 +160,37 @@ def chi_values(
     gate_z=0.0,
     transverse_dist_sq=0.0,
     density_scale=1.0,
-    out: Optional[np.ndarray] = None,
 ):
     """Vectorized complex susceptibility chi(z) (rad/us * (um/us) / um).
 
     `z`, `gate_z`, `transverse_dist_sq` and `density_scale` broadcast
     together.  `vef_prefactor` is one V_ef prefactor or a 1-D grid of them;
-    a grid puts its axis first in the result.  For a grid, or with `out`
-    (a complex array of the result's shape, written in place), g^2, d^6,
-    w = g^2/d^6 and beta = gamma/d^6 are computed once and each
-    prefactor's Re chi and Im chi are written in real arithmetic; a scalar
-    prefactor with no `out` takes the complex form, which gives the same
-    values and allocates less for a single point.
+    a grid puts its axis first in the result.  g^2, d^6, w = g^2/d^6 and
+    beta = gamma/d^6 are computed once, and each prefactor adds its
+    `_blockade_kernel` term to the EIT term.  A zero prefactor gives the
+    EIT term alone, broadcast to the full shape in a grid.
     """
     z = np.asarray(z, dtype=float)
     g_sq = params.g**2 * density_scale * params.relative_density(z)
-    eit = (params.omega + 1j * params.gamma_s) / params.omega_rabi**2
-    if out is None and np.ndim(vef_prefactor) == 0:
-        chi = g_sq * eit
-        if vef_prefactor != 0.0:
-            d6 = _clamped_d6(z - gate_z, transverse_dist_sq)
-            a = complex(params.omega_rabi**2 / vef_prefactor)
-            q, v = _blockade_kernel(g_sq / d6, params.gamma / d6, a)
-            chi = chi + q * (a.real - 1j * v)
-        return chi
-
-    prefactors = np.asarray(vef_prefactor, dtype=complex)
-    dz = z - gate_z
-    d6 = np.empty(np.broadcast_shapes(dz.shape, np.shape(transverse_dist_sq)))
-    d6 = _clamped_d6(dz, transverse_dist_sq, out=d6)
-    del dz
-    w = g_sq / d6
-    beta = np.divide(params.gamma, d6, out=d6)
-    if out is None:
-        out = np.empty(prefactors.shape + w.shape, dtype=complex)
-    chi = out.reshape((prefactors.size,) + w.shape, copy=False)
-    q = np.empty_like(w)
-    v = np.empty_like(w)
-    # Re chi = g^2 Re(eit) + q Re(a) and Im chi = g^2 Im(eit) - q v: the
-    # complex form's values, since the real factors carry no imaginary part
-    for k, pref in enumerate(prefactors.reshape(-1)):
-        re, im = chi[k].real, chi[k].imag
+    eit = g_sq * ((params.omega + 1j * params.gamma_s) / params.omega_rabi**2)
+    d6 = _clamped_d6(z - gate_z, transverse_dist_sq)
+    w, beta = g_sq / d6, params.gamma / d6
+    # a grid's entries as Python complex, a scalar as given: NumPy and
+    # Python complex division can differ in the last bit
+    grid = np.ndim(vef_prefactor) > 0
+    chi = []
+    for pref in np.ravel(vef_prefactor).tolist() if grid else [vef_prefactor]:
         if pref == 0.0:
-            np.multiply(g_sq, eit.real, out=re)
-            np.multiply(g_sq, eit.imag, out=im)
+            chi.append(eit)
             continue
-        a = complex(params.omega_rabi**2 / complex(pref))
-        _blockade_kernel(w, beta, a, q=q, v=v)
-        np.multiply(q, a.real, out=re)
-        re += g_sq * eit.real
-        np.multiply(q, v, out=im)
-        np.subtract(g_sq * eit.imag, im, out=im)
-    return out
+        a = complex(params.omega_rabi**2 / pref)
+        q, v = _blockade_kernel(w, beta, a)
+        chi.append(eit + q * (a.real - 1j * v))
+    return np.stack([np.broadcast_to(c, w.shape) for c in chi]) if grid else chi[0]
 
 
 def _clamped_d6(dz, transverse_dist_sq, out=None):
-    """d^6 with d^2 = dz^2 + b^2 clamped at R_MIN^2; `out` may be `dz`, or
-    an array of the broadcast shape of `dz` and `transverse_dist_sq`."""
+    """d^6 with d^2 = dz^2 + b^2 clamped at R_MIN^2; `out` may be `dz`."""
     d_sq = np.add(np.square(dz, out=out), transverse_dist_sq, out=out)
     d_sq = np.maximum(d_sq, R_MIN**2, out=out)
     return np.power(d_sq, 3, out=out)
@@ -411,23 +385,14 @@ def transmission_batch(
     return amps if fields.ndim else amps[0]
 
 
-class _OracleSet(NamedTuple):
-    """Cell propagators of one time-domain oracle set."""
+def _oracle_set(params: PropagationParams, interaction: InteractionParams,
+                gate_z: float, field: float):
+    """Cell step blocks of one oracle parameter set.
 
-    g_local: np.ndarray  # local coupling g(z) per cell
-    props: np.ndarray    # (m, m, n_z) atomic step propagators
-    drive: np.ndarray    # (m, n_z) photon drive column of each step
-    dt: float
-    omega: float         # carrier detuning
-
-
-def _oracle_set(
-    params: PropagationParams,
-    interaction: InteractionParams,
-    gate_z: float,
-    field: float,
-) -> _OracleSet:
-    """Grid and cell propagators of one oracle parameter set."""
+    Returns `(blocks, g_local, dt)`: `blocks` is the (m, m + 1, n_z)
+    [atomic propagators | photon drive column] of each cell's step, a view
+    of one stacked `expm`; `g_local` is the local coupling g(z) per cell.
+    """
     from scipy.linalg import expm
 
     span = params.z_extent
@@ -468,29 +433,26 @@ def _oracle_set(
         a[:, 2 + k, 2 + k] = -interaction.gamma_p - 1j * forster_defect(ch, field)
     a[:, 0, m] = -1j * g_local  # photon drive column
     step = expm(a * dt)
-    props = np.moveaxis(step[:, :m, :m], 0, -1)
-    drive = step[:, :m, m].T
-    return _OracleSet(g_local, props, drive, dt, params.omega)
+    return np.moveaxis(step[:, :m], 0, -1), g_local, dt
 
 
-def _oracle_step(s: _OracleSet):
-    """One time step of oracle set `s` as y <- M y + inject u.
+def _oracle_step(blocks, g_local, dt):
+    """One time step of an oracle set (see `_oracle_set`) as y <- M y + inject u.
 
     The state is y = [x_0, ..., x_(m-1), e], each a row over the cells.
-    The cell blocks `props`/`drive` move x, the photon is advected one
-    cell, e[z] = e[z-1] + dt/2 * (g_src[z] x_0[z] + g_src[z-1] x_0[z-1])
-    with g_src = -i g(z), and the input u is written into the first cell,
-    whose rows of M are empty.  Returns the sparse CSR M and the dense
+    The cell `blocks` move x, the photon is advected one cell,
+    e[z] = e[z-1] + dt/2 * (g_src[z] x_0[z] + g_src[z-1] x_0[z-1]) with
+    g_src = -i g(z), and the input u is written into the first cell, whose
+    rows of M are empty.  Returns the sparse CSR M and the dense
     unit vectors `inject` (first cell's photon) and `read` (last cell's).
     """
     from scipy import sparse
 
-    m, n_cells = s.drive.shape
+    m, _, n_cells = blocks.shape
     n_state = (m + 1) * n_cells
     index = np.arange(n_state).reshape(m + 1, n_cells)
-    blocks = np.concatenate([s.props, s.drive[:, None]], axis=1)  # (m, m + 1, z)
     z = np.arange(1, n_cells)  # cells the photon moves into
-    source = 0.5 * s.dt * (-1j * s.g_local)
+    source = 0.5 * dt * (-1j * g_local)
     rows = np.concatenate([
         np.broadcast_to(index[:m, None], blocks.shape).ravel(),
         np.tile(index[m, z], 3)])
@@ -530,19 +492,17 @@ def transmission_time_oracle(
     cell's photon, read Y.  Nothing is time-stepped, so the result does
     not depend on a run length.  Returns one result per set.
 
-    Every set's grid and propagators are built first, so a set whose
-    operator would exceed the size bound of `_oracle_set` fails before any
-    set is solved.
+    Sets are built and solved one at a time; a set over the size bound of
+    `_oracle_set` fails before its propagators are built.
     """
     from scipy import sparse
     from scipy.sparse.linalg import spsolve
 
-    built = [_oracle_set(params, inter, gate_z, field)
-             for params, inter, gate_z in sets]
     results = []
-    for s in built:
-        step, inject, read = _oracle_step(s)
-        q = np.exp(-1j * s.omega * s.dt)
+    for params, inter, gate_z in sets:
+        blocks, g_local, dt = _oracle_set(params, inter, gate_z, field)
+        step, inject, read = _oracle_step(blocks, g_local, dt)
+        q = np.exp(-1j * params.omega * dt)
         lhs = q * sparse.eye_array(step.shape[0], format="csr") - step
         amp = read @ spsolve(lhs, q * inject)
         results.append(TransmissionResult(amplitude=complex(amp)))

@@ -72,7 +72,12 @@ class PhotonChannel:
     scatter: np.ndarray
 
     def __post_init__(self):
-        total = np.abs(self.transmit) ** 2 + np.sum(np.abs(self.scatter) ** 2, axis=-2)
+        # sum_s |scatter|^2 from the real and imaginary views, with no
+        # temporary of the scatter block's size
+        s = self.scatter
+        total = np.abs(self.transmit) ** 2 + np.einsum("...sg,...sg->...g", s.real, s.real)
+        if np.iscomplexobj(s):
+            total += np.einsum("...sg,...sg->...g", s.imag, s.imag)
         err = float(np.max(np.abs(total - 1.0)))
         if not np.isfinite(err) or err > 1e-6:
             raise NumericsError(f"Kraus completeness violated by {err:.3g}")

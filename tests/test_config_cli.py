@@ -316,6 +316,10 @@ class TestCli:
              "omega = 6.28319e+300 rad/us is too large"),
             ("retrieval", ["--set", "retrieval_field=50"],
              "retrieval_field must be <= 2 V/cm"),
+            ("gain-scan", ["--set", "field_grid=0.71", "--set", "beam_waist=1e-200"],
+             "beam_waist = 1e-200 um gives the gate a transverse spread of nan um"),
+            ("retrieval", ["--set", "beam_waist=1e200"],
+             "beam_waist = 1e+200 um gives the gate a transverse spread of nan um"),
         ],
     )
     def test_bad_scan_input_exits_with_config_code(self, tmp_path, scan, args,
@@ -418,12 +422,14 @@ class TestCli:
         assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_gain_exits_with_numerics_code(self, tmp_path):
-        # a vanishing speed of light makes every transmission NaN
+        # a vanishing speed of light makes every transmission NaN, through
+        # an invalid multiply and an overflow in the transport exponents
         runner = CliRunner()
-        result = runner.invoke(main, [
-            "gain-scan", "--samples", "50", "--set", "speed_of_light=1e-300",
-            "--set", "field_grid=0.71", "--out", str(tmp_path),
-        ])
+        with pytest.warns(RuntimeWarning):
+            result = runner.invoke(main, [
+                "gain-scan", "--samples", "50", "--set", "speed_of_light=1e-300",
+                "--set", "field_grid=0.71", "--out", str(tmp_path),
+            ])
         assert result.exit_code == 3
         assert isinstance(result.exception, SystemExit)
         assert "numerical failure:" in result.stderr

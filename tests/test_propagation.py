@@ -78,6 +78,22 @@ class TestAnalyticLimits:
         t2 = eit_baseline(params, density_scale=2.0).amplitude
         assert t2 == pytest.approx(t1**2, rel=1e-12)
 
+    @pytest.mark.parametrize("profile", ["gaussian", "uniform"])
+    @pytest.mark.parametrize("z", [7.5, -20.0, np.linspace(-60.0, 60.0, 241)])
+    def test_relative_density_with_and_without_out(self, profile, z):
+        params = PropagationParams(
+            g=1.0e4, omega_rabi=from_mhz(5.0), gamma=from_mhz(3.0),
+            cloud_half_length=20.0, profile=profile,
+        )
+        if profile == "gaussian":
+            ref = np.exp(-((np.asarray(z) / 20.0) ** 2))
+        else:
+            ref = np.where(np.abs(z) <= 20.0, 1.0, 0.0)
+        buf = np.empty(np.shape(z))
+        assert params.relative_density(z, out=buf) is buf
+        assert np.array_equal(params.relative_density(z), buf)
+        assert np.array_equal(buf, ref)
+
     def test_per_sample_scales_match_scalar_calls(self, setup, rng):
         scales = rng.uniform(0.0, 1.5, size=9)
         batch = eit_baseline(setup.params, scales)
@@ -278,8 +294,7 @@ class TestBlockadeKernel:
     @_RESONANCE_WINDOWS
     def test_chi_values_prefactor_grid_matches_scalar_calls(self, pair_system, lo, hi):
         # one call for a prefactor grid (a zero prefactor included) and a
-        # block of source paths, written in real arithmetic, against one
-        # complex-form call per prefactor and path
+        # block of source paths against one call per prefactor and path
         setup, fields, c6 = _resonance_window(pair_system, lo, hi, 5)
         params = setup.params
         grid = np.linspace(-80.0, 80.0, 61)
@@ -289,14 +304,11 @@ class TestBlockadeKernel:
         args = (grid[:, None], t_dist_sq[:, None, None], scale[:, None, None])
         chi = chi_values(grid[None, :], params, prefs, *args)
         assert chi.shape == (prefs.size, 3, grid.size, grid.size)
-        out = np.empty_like(chi)
-        assert chi_values(grid[None, :], params, prefs, *args, out=out) is out
-        assert np.array_equal(out, chi)
         for k, pref in enumerate(prefs):
             for j in range(3):
                 ref = chi_values(grid[None, :], params, complex(pref), grid[:, None],
                                  float(t_dist_sq[j]), float(scale[j]))
-                # with no blockade term the complex form does not broadcast
+                # with no blockade term a scalar call does not broadcast
                 # over the gate positions
                 assert np.array_equal(chi[k, j], np.broadcast_to(ref, chi[k, j].shape))
 
@@ -341,14 +353,14 @@ def _stepwise_oracle(sets, length=1.0):
     trailing 30 %."""
     amps = []
     for params, inter, gate_z in sets:
-        s = propagation._oracle_set(params, inter, gate_z, 0.0)
-        step, inject, read = propagation._oracle_step(s)
+        blocks, g_local, dt = propagation._oracle_set(params, inter, gate_z, 0.0)
+        step, inject, read = propagation._oracle_step(blocks, g_local, dt)
         v_g = params.c * params.omega_rabi**2 / (params.g**2 + params.omega_rabi**2)
         gamma_eit = params.omega_rabi**2 / params.gamma + params.gamma_s
         duration = 16.0 * (2 * params.z_extent / v_g) + 120.0 / gamma_eit
         ramp = 0.15 * duration
-        n_t = int(np.ceil(length * duration / s.dt))
-        tt = np.arange(1, n_t + 1) * s.dt
+        n_t = int(np.ceil(length * duration / dt))
+        tt = np.arange(1, n_t + 1) * dt
         envelope = 0.5 * (1.0 + np.tanh((tt - 2.5 * ramp) / (0.5 * ramp)))
         inputs = envelope * np.exp(-1j * params.omega * tt)
         y = np.zeros(step.shape[0], dtype=complex)
@@ -370,8 +382,8 @@ def _looped_oracle_set(params, inter, gate_z, field):
 
     from rydsim.atomic_states import forster_defect
 
-    ref = propagation._oracle_set(params, inter, gate_z, field)
-    z = np.linspace(-params.z_extent, params.z_extent, ref.g_local.size)
+    blocks, g_local, dt = propagation._oracle_set(params, inter, gate_z, field)
+    z = np.linspace(-params.z_extent, params.z_extent, g_local.size)
     m = 2 + len(inter.channels)
     defects = [forster_defect(ch, field) for ch in inter.channels]
     props = np.empty((m, m, z.size), dtype=complex)
@@ -391,18 +403,17 @@ def _looped_oracle_set(params, inter, gate_z, field):
             a[1, 2 + k] = -1j * v
             a[2 + k, 1] = -1j * v
             a[2 + k, 2 + k] = -inter.gamma_p - 1j * defects[k]
-        a[0, m] = -1j * ref.g_local[i]
-        step = expm(a * ref.dt)
+        a[0, m] = -1j * g_local[i]
+        step = expm(a * dt)
         props[:, :, i] = step[:m, :m]
         drive[:, i] = step[:m, m]
-    return ref, props, drive
+    return blocks, props, drive
 
 
 def test_stacked_expm_matches_one_call_per_cell():
     for params, inter, gate_z in _oracle_sets(12345, 10):
-        s, props, drive = _looped_oracle_set(params, inter, gate_z, 0.0)
-        assert np.array_equal(s.props, props)
-        assert np.array_equal(s.drive, drive)
+        blocks, props, drive = _looped_oracle_set(params, inter, gate_z, 0.0)
+        assert np.array_equal(blocks, np.concatenate([props, drive[:, None]], axis=1))
 
 
 def _oracle_case(name):

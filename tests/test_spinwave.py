@@ -123,6 +123,18 @@ class TestPhotonChannel:
         with pytest.raises(NumericsError):
             PhotonChannel(grid=grid, transmit=np.full(5, 0.9),
                           scatter=np.zeros((1, 5)))
+        # a (field, path, s, g) block, complete but for one bad column or
+        # one NaN column
+        rng = np.random.default_rng(3)
+        scatter = rng.normal(size=(2, 3, 4, 5)) + 1j * rng.normal(size=(2, 3, 4, 5))
+        scatter *= np.sqrt(0.5 / np.sum(np.abs(scatter) ** 2, axis=-2))[..., None, :]
+        transmit = np.full((2, 3, 5), np.sqrt(0.5), dtype=complex)
+        PhotonChannel(grid=grid, transmit=transmit, scatter=scatter)
+        for bad in (1.001, np.nan):
+            broken = scatter.copy()
+            broken[1, 2, 0, 3] *= bad
+            with pytest.raises(NumericsError):
+                PhotonChannel(grid=grid, transmit=transmit, scatter=broken)
 
     def test_constructed_channel_is_complete(self, setup):
         state = stored_spinwave(setup.geometry, n_points=101)
