@@ -88,7 +88,6 @@ class PairConfig:
     s_pair: tuple
     channels: tuple
     theta: float = 0.0
-    b_field: float = 1.0
     name: str = ""
 
     def __post_init__(self):

@@ -236,9 +236,6 @@ def load_config(
             if key in _GRID_SHORTHAND:
                 shorthand[key] = _parse_scalar(key, value, path, lineno)
                 continue
-            if key == "scan":
-                scan = value
-                continue
             if key not in _DEFAULTS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = _parse_scalar(key, value, path, lineno)

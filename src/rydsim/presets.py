@@ -56,12 +56,12 @@ def _parse_sections(text: str, source: str):
 
 
 _GLOBAL_KEYS = {
-    "name", "theta", "b_field", "gate_s", "source_s",
+    "name", "theta", "gate_s", "source_s",
     "c3_prime_mhz_um3", "gamma_p_mhz",
 }
 # numeric global keys and their defaults
 _GLOBAL_NUMBERS = {
-    "theta": 0.0, "b_field": 1.0, "c3_prime_mhz_um3": 0.0, "gamma_p_mhz": 0.3,
+    "theta": 0.0, "c3_prime_mhz_um3": 0.0, "gamma_p_mhz": 0.3,
 }
 _CHANNEL_KEYS = {
     "gate", "source", "defect_zero_field_mhz", "diff_polarizability_mhz",
@@ -124,7 +124,6 @@ def parse_channel_file(text: str, source: str = "<string>"):
         s_pair=(parse_level(globals_kv["gate_s"]), parse_level(globals_kv["source_s"])),
         channels=tuple(channels),
         theta=numbers["theta"],
-        b_field=numbers["b_field"],
         name=globals_kv.get("name", ""),
     )
     extras = {

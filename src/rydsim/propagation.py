@@ -175,18 +175,16 @@ def chi_values(
     eit = g_sq * ((params.omega + 1j * params.gamma_s) / params.omega_rabi**2)
     d6 = _clamped_d6(z - gate_z, transverse_dist_sq)
     w, beta = g_sq / d6, params.gamma / d6
-    # a grid's entries as Python complex, a scalar as given: NumPy and
-    # Python complex division can differ in the last bit
-    grid = np.ndim(vef_prefactor) > 0
+    prefs = np.asarray(vef_prefactor, dtype=complex)
     chi = []
-    for pref in np.ravel(vef_prefactor).tolist() if grid else [vef_prefactor]:
+    for pref in prefs.reshape(-1):
         if pref == 0.0:
             chi.append(eit)
             continue
         a = complex(params.omega_rabi**2 / pref)
         q, v = _blockade_kernel(w, beta, a)
         chi.append(eit + q * (a.real - 1j * v))
-    return np.stack([np.broadcast_to(c, w.shape) for c in chi]) if grid else chi[0]
+    return np.stack([np.broadcast_to(c, w.shape) for c in chi]) if prefs.ndim else chi[0]
 
 
 def _clamped_d6(dz, transverse_dist_sq, out=None):

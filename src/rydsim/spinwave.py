@@ -9,7 +9,10 @@ recoverable spin-wave fraction is the overlap of the decohered state
 with the original stored mode, and the Uhlmann fidelity splits into
 transmitted and scattered branch contributions.  On the uniform grid the
 susceptibility is a column density times a kernel of the gate-scatterer
-separation alone, so a channel needs one chi row per source path.
+separation alone, so a channel needs one chi row per source path.  A
+channel is always built for a block of source paths, on a field grid or
+at one field, and the retrieval pipeline keeps only each gate group's
+Poisson overlap row.
 """
 
 from __future__ import annotations
@@ -55,19 +58,15 @@ class SpinWaveState:
 
 @dataclass(frozen=True)
 class PhotonChannel:
-    """Diagonal transmit/scatter Kraus family for one source photon.
+    """Diagonal transmit/scatter Kraus family for a block of source paths.
 
-    `transmit` holds t(z_g); `scatter[s, g]` is the amplitude to scatter
-    at grid point s given the gate at grid point g.  Completeness
-    |t(g)|^2 + sum_s |scatter[s,g]|^2 = 1 holds per column.
-
-    A channel may stack several source paths: `transmit` then has shape
-    [..., p, g] and `scatter` shape [..., p, s, g], with any leading axes
-    (a field grid) in front, and the channel is the equal-weight mixture
-    of its p paths.  A `scatter` of two dimensions is one path.
+    `transmit[..., p, g]` holds t(z_g) of path p; `scatter[..., p, s, g]`
+    is its amplitude to scatter at grid point s given the gate at grid
+    point g.  Any leading axes (a field grid) come first.  Completeness
+    |t(g)|^2 + sum_s |scatter[s,g]|^2 = 1 holds per path and column, and
+    the channel is the equal-weight mixture of its p paths.
     """
 
-    grid: np.ndarray
     transmit: np.ndarray
     scatter: np.ndarray
 
@@ -95,15 +94,12 @@ class PhotonChannel:
         number, so a mixture's D is bit for bit the mean of its paths' D.
         """
         t, s = self.transmit, self.scatter
-        if s.ndim == 2:
-            t, s = t[None], s[None]
         n_paths, n_s, n = s.shape[-3:]
-        lead = s.shape[:-3]
-        d = np.empty(lead + (n, n), dtype=complex)
+        d = np.empty(s.shape[:-3] + (n, n), dtype=complex)
         xr = np.empty((n, n_s + 1))
         xi = np.empty_like(xr)
-        for idx in np.ndindex(lead):
-            re_sum = im_sum = None
+        for idx in np.ndindex(d.shape[:-2]):
+            re_sum, im_sum = np.zeros((n, n)), np.zeros((n, n))
             for j in range(n_paths):
                 xr[:, 0] = t[idx + (j,)].real
                 xr[:, 1:] = s[idx + (j,)].real.T
@@ -113,19 +109,11 @@ class PhotonChannel:
                 if xi.any():
                     re += xi @ xi.T
                     m = xi @ xr.T
-                    im = np.subtract(m, m.T)
-                    if im_sum is None:
-                        im_sum = im
-                    else:
-                        im_sum += im
-                if re_sum is None:
-                    re_sum = re
-                else:
-                    re_sum += re
+                    im_sum += np.subtract(m, m.T)
+                re_sum += re
             d[idx].real = re_sum
-            d[idx].imag = 0.0 if im_sum is None else im_sum
-        if n_paths > 1:
-            d /= n_paths
+            d[idx].imag = im_sum
+        d /= n_paths
         return d
 
 
@@ -166,14 +154,14 @@ def photon_channel(
     dissipative V_ef) gets real amplitudes and computes no phase.
 
     `field` is a scalar or a 1-D field grid, as in `transmission_batch`.
-    `source_offset` is one path (bx, by) or a (p, 2) block of paths, with
-    `density_scale` a scalar or one per path; the channel is the mixture
-    of the paths (see `PhotonChannel`), and a scalar field with one path
-    gives the single-path shapes.  Every path and field is built in one
-    `transmission_batch` and one `chi_values` call.  `out`, if given, is
-    a complex work array of shape field.shape + (p, n, n) for a block (or
-    (n, n) for one path at a scalar field) that receives the scatter
-    amplitudes, so the channel's `scatter` is a view of it.
+    `source_offset` is a (p, 2) block of paths (bx, by), a single (bx, by)
+    being a block of one, with `density_scale` a scalar or one per path;
+    the channel is the mixture of the paths (see `PhotonChannel`), with
+    `transmit` of shape field.shape + (p, n).  Every path and field is
+    built in one `transmission_batch` and one `chi_values` call.  `out`,
+    if given, is a complex work array of shape field.shape + (p, n, n)
+    that receives the scatter amplitudes, so the channel's `scatter` is a
+    view of it.
     """
     grid = np.asarray(grid, dtype=float)
     n = grid.size
@@ -182,9 +170,7 @@ def photon_channel(
         raise ValueError("photon_channel needs a uniform grid: the spacing of "
                          "`grid` varies by more than 1e-9 relative")
     fields = np.asarray(field, dtype=float)
-    paths = np.asarray(source_offset, dtype=float)
-    one_path = paths.ndim == 1 and fields.ndim == 0
-    paths = paths.reshape(-1, 2)
+    paths = np.asarray(source_offset, dtype=float).reshape(-1, 2)
     n_paths = paths.shape[0]
     scale = np.broadcast_to(np.asarray(density_scale, dtype=float), (n_paths,))
     gx, gy = (float(c) for c in gate_offset)
@@ -193,7 +179,7 @@ def photon_channel(
                              np.tile(grid, n_paths)])
     t = transmission_batch(np.repeat(paths, n, axis=0), gates, params, interaction,
                            fields, density_scale=np.repeat(scale, n))
-    t = t.reshape((n,) if one_path else fields.shape + (n_paths, n))
+    t = t.reshape(fields.shape + (n_paths, n))
     # clip |t| <= 1 against roundoff
     mag = np.abs(t)
     t = np.where(mag > 1.0, t / mag, t)
@@ -233,7 +219,7 @@ def photon_channel(
         phase *= amplitude
         np.multiply(sin, amplitude, out=amplitude)
         del sin  # before the next field, and the completeness check, allocate
-    return PhotonChannel(grid=grid, transmit=t, scatter=np.swapaxes(out, -1, -2))
+    return PhotonChannel(transmit=t, scatter=np.swapaxes(out, -1, -2))
 
 
 def _psd_sqrt(rho: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -342,26 +328,24 @@ def transverse_channels(
     field,
     n_offsets: int,
     seed: int,
-    source_means: Optional[Sequence[float]] = None,
+    source_means: Sequence[float],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-photon decoherence and scatter probability per gate offset.
+    """Poisson overlap rows and scatter probability per gate offset.
 
     One group per sampled gate offset; within a group, one channel per
     sampled source path.  Source photons draw their transverse position
     independently, so a group's per-photon channel is the mean over its
-    paths.  Returns `decoherence` of shape field.shape + (n_offsets, n, n),
-    the mean `decoherence_matrix` of each group, and `p_scatter` of shape
-    field.shape + (n_offsets,), each group's mean scatter probability in
-    excess of the gate-free loss: photons lost to the gate-independent
-    background carry no which-path information.
+    paths.  Each group's mean `decoherence_matrix` is reduced to its
+    `poisson_overlap` row as soon as the group is built, so one group is
+    held at a time.  Returns `overlap` of shape field.shape + (n_offsets,
+    n_means) and `p_scatter` of shape field.shape + (n_offsets,), each
+    group's mean scatter probability in excess of the gate-free loss:
+    photons lost to the gate-independent background carry no which-path
+    information.
 
     `field` is a scalar or a 1-D field grid.  The paths of a group are
     built `_PATH_BLOCK` at a time, for every field at once, by one
-    `photon_channel` call that reuses one work array.  With
-    `source_means`, each group's matrices are reduced to their
-    `poisson_overlap` rows as soon as the group is built, so one group is
-    held at a time, and those rows, of shape field.shape +
-    (n_offsets, n_means), take the place of `decoherence`.
+    `photon_channel` call that reuses one work array.
     """
     rng = np.random.default_rng(seed)
     samples = sample_geometry(geometry, n_offsets, rng)
@@ -374,11 +358,7 @@ def transverse_channels(
     work = np.empty(fields.shape + (blocks[0].stop, n, n), dtype=complex)
     group = np.empty(fields.shape + (n, n), dtype=complex)
     excess = np.empty(fields.shape + (n_offsets, n_offsets))
-    if source_means is None:
-        result = np.empty(fields.shape + (n_offsets, n, n), dtype=complex)
-    else:
-        result = np.empty(fields.shape + (n_offsets, len(source_means)))
-    groups = np.moveaxis(result, fields.ndim, 0)  # a view, group axis first
+    overlap = np.empty(fields.shape + (n_offsets, len(source_means)))
     for i in range(n_offsets):
         group[...] = 0.0
         for b in blocks:
@@ -399,9 +379,8 @@ def transverse_channels(
                 lost = 1.0 - float(p_diag @ intensity[idx])
                 excess[idx[:-1] + (i, j)] = max(lost - (1.0 - baseline[j]), 0.0)
             del ch, d  # freed before the next block is built
-        groups[i] = group if source_means is None else poisson_overlap(
-            state, group, source_means)
-    return result, excess.mean(axis=-1)
+        overlap[..., i, :] = poisson_overlap(state, group, source_means)
+    return overlap, excess.mean(axis=-1)
 
 
 def limit_curves(

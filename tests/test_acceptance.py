@@ -301,7 +301,7 @@ def test_criterion_8_channel_math(setup, rng):
     state = stored_spinwave(setup.geometry, n_points=151)
     ch = photon_channel(state.grid, setup.params, setup.interaction,
                         setup.resonance_field)
-    total = np.abs(ch.transmit) ** 2 + np.sum(np.abs(ch.scatter) ** 2, axis=0)
+    total = np.abs(ch.transmit) ** 2 + np.sum(np.abs(ch.scatter) ** 2, axis=-2)
     kraus_err = float(np.max(np.abs(total - 1.0)))
     kraus_ok = kraus_err <= 1e-6
 
@@ -325,18 +325,28 @@ def test_criterion_8_channel_math(setup, rng):
             f"overlap vs matrix-root oracle {worst:.1e} (<= 1e-8)")
 
 
-def test_criterion_9_deterministic_outputs(gain_run, gain_run_repeat):
-    """Equal seeds give byte-identical summary and CSV outputs."""
-    _, out_a, _ = gain_run
-    _, out_b, _ = gain_run_repeat
+def _identical_outputs(out_a, out_b):
+    """The output file names of two runs, and whether they match byte for byte."""
     names = sorted(p.name for p in out_a.iterdir())
     same_names = names == sorted(p.name for p in out_b.iterdir())
-    identical = same_names and all(
+    return names, same_names and all(
         filecmp.cmp(out_a / n, out_b / n, shallow=False) for n in names
     )
+
+
+def test_criterion_9_deterministic_outputs(gain_run, gain_run_repeat,
+                                           tmp_path_factory):
+    """Equal seeds give byte-identical summary and CSV outputs, for the gain
+    scan and for a short retrieval run."""
+    names, gain_same = _identical_outputs(gain_run[1], gain_run_repeat[1])
+    short = dict(spinwave_points=61, retrieval_offsets=3)
+    retrieval = [_run("retrieval", tmp_path_factory, f"retrieval_short_{k}", **short)[1]
+                 for k in range(2)]
+    retrieval_names, retrieval_same = _identical_outputs(*retrieval)
+    identical = gain_same and retrieval_same
     _report(9, identical,
-            f"outputs {names} byte-identical across equal-seed runs: "
-            f"{identical}")
+            f"outputs {names} and {retrieval_names} byte-identical across "
+            f"equal-seed runs: {identical}")
 
 
 @pytest.mark.parametrize("seed", range(10))

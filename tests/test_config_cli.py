@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -113,7 +114,6 @@ class TestPresets:
         text = (
             "name = toy\n"
             "theta = 0.0\n"
-            "b_field = 1.0\n"
             "gate_s = 50S1/2 +1/2\n"
             "source_s = 48S1/2 +1/2\n"
             "c3_prime_mhz_um3 = 2.0\n"
@@ -138,6 +138,8 @@ class TestPresets:
     @pytest.mark.parametrize("line, message", [
         ("theta = abc", "bad value for 'theta'"),
         ("gamma_p_mhz = -1", "gamma_p_mhz must be >= 0"),
+        # Zeeman shifts are per channel; there is no global field to set
+        ("b_field = 1.0", "unknown keys ['b_field']"),
     ])
     def test_bad_channel_file_global_is_config_error(self, tmp_path, line,
                                                      message):
@@ -151,7 +153,7 @@ class TestPresets:
             "diff_polarizability_mhz = 19.8374\n"
             "c3_mhz_um3 = 100.0\n"
         )
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_pair_system(str(path))
         result = CliRunner().invoke(main, [
             "starkmap", "--set", f"pair_system={path}",
@@ -247,6 +249,17 @@ class TestCli:
         runner = CliRunner()
         result = runner.invoke(main, ["starkmap", "--config", "/nope.cfg"])
         assert result.exit_code == 2
+
+    def test_config_file_cannot_choose_the_scan(self, tmp_path):
+        # the subcommand names the scan; a `scan` line is an unknown key
+        path = tmp_path / "run.cfg"
+        path.write_text("samples = 500\nscan = starkmap\n")
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["gain-scan", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"{path}:2: unknown key 'scan'" in result.stderr
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(
         "scan, args, message",

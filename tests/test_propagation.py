@@ -312,6 +312,21 @@ class TestBlockadeKernel:
                 # over the gate positions
                 assert np.array_equal(chi[k, j], np.broadcast_to(ref, chi[k, j].shape))
 
+    @_RESONANCE_WINDOWS
+    def test_chi_values_rounds_every_prefactor_form_alike(self, pair_system, lo, hi):
+        # a = Omega^2/C is one division whether the prefactor comes as a
+        # NumPy complex (as `effective_c6` returns it to `transmission_batch`),
+        # a Python complex, a one-entry list or an entry of a grid
+        setup, _, c6 = _resonance_window(pair_system, lo, hi, 41)
+        params = setup.params
+        z = np.linspace(-80.0, 80.0, 61)
+        table = chi_values(z, params, c6, 0.0, 2.5)
+        for k, pref in enumerate(c6):
+            ref = chi_values(z, params, pref, 0.0, 2.5)
+            assert np.array_equal(chi_values(z, params, complex(pref), 0.0, 2.5), ref)
+            assert np.array_equal(chi_values(z, params, [pref], 0.0, 2.5)[0], ref)
+            assert np.array_equal(table[k], ref)
+
     def test_batch_memory_peak(self, setup, rng):
         # w and beta are built once; each field reuses two real buffers
         n, fields = 2000, np.linspace(0.70, 0.72, 5)

@@ -42,21 +42,21 @@ def _random_density(rng, dim):
 
 def _identity_channel(grid):
     n = grid.size
-    return PhotonChannel(grid=grid, transmit=np.ones(n),
-                         scatter=np.zeros((1, n)))
+    return PhotonChannel(transmit=np.ones((1, n)), scatter=np.zeros((1, 1, n)))
 
 
 def _dephasing_channel(grid):
     n = grid.size
-    return PhotonChannel(grid=grid, transmit=np.zeros(n),
-                         scatter=np.eye(n, dtype=complex))
+    return PhotonChannel(transmit=np.zeros((1, n)),
+                         scatter=np.eye(n, dtype=complex)[None])
 
 
 def channel_branches(rho, channel):
-    """Unnormalized transmitted and scattered branches of the output state."""
-    t = channel.transmit
+    """Unnormalized transmitted and scattered branches of the output state
+    for a channel of one path at one field."""
+    (t,), (s,) = channel.transmit, channel.scatter
     rho_p = np.outer(t, t.conj()) * rho
-    rho_s = (channel.scatter.T @ channel.scatter.conj()) * rho
+    rho_s = (s.T @ s.conj()) * rho
     return rho_p, rho_s
 
 
@@ -77,6 +77,34 @@ def _curve(state, decoherence, p_scatter, means, eta_base):
     row, as `transverse_channels(..., source_means=means)` gives it."""
     return retrieval_efficiency_curve(
         poisson_overlap(state, decoherence, means), p_scatter, means, eta_base)
+
+
+def _group_matrices(state, setup, field, n_offsets, seed):
+    """Each gate group's mean decoherence matrix and scatter excess for the
+    samples `transverse_channels` draws, built one `photon_channel` per
+    source path at a scalar field."""
+    samples = sample_geometry(setup.geometry, n_offsets, np.random.default_rng(seed))
+    p_diag = np.real(np.diag(state.rho))
+    n = state.grid.size
+    decoherence = np.empty((n_offsets, n, n), dtype=complex)
+    p_scatter = np.empty(n_offsets)
+    for i in range(n_offsets):
+        ds, excess = [], []
+        for j in range(n_offsets):
+            scale = float(samples.density_scales[j])
+            ch = photon_channel(
+                state.grid, setup.params, setup.interaction, field,
+                gate_offset=tuple(samples.gates[i, :2]),
+                source_offset=tuple(samples.offsets[j]),
+                density_scale=scale,
+            )
+            ds.append(ch.decoherence_matrix)
+            baseline = eit_baseline(setup.params, scale).intensity
+            lost = 1.0 - p_diag @ np.abs(ch.transmit[0]) ** 2
+            excess.append(max(lost - (1.0 - baseline), 0.0))
+        decoherence[i] = np.mean(ds, axis=0)
+        p_scatter[i] = np.mean(excess)
+    return decoherence, p_scatter
 
 
 class TestStoredState:
@@ -119,28 +147,28 @@ class TestUhlmannFidelity:
 
 class TestPhotonChannel:
     def test_completeness_enforced(self):
-        grid = np.linspace(-1, 1, 5)
         with pytest.raises(NumericsError):
-            PhotonChannel(grid=grid, transmit=np.full(5, 0.9),
-                          scatter=np.zeros((1, 5)))
+            PhotonChannel(transmit=np.full((1, 5), 0.9),
+                          scatter=np.zeros((1, 1, 5)))
         # a (field, path, s, g) block, complete but for one bad column or
         # one NaN column
         rng = np.random.default_rng(3)
         scatter = rng.normal(size=(2, 3, 4, 5)) + 1j * rng.normal(size=(2, 3, 4, 5))
         scatter *= np.sqrt(0.5 / np.sum(np.abs(scatter) ** 2, axis=-2))[..., None, :]
         transmit = np.full((2, 3, 5), np.sqrt(0.5), dtype=complex)
-        PhotonChannel(grid=grid, transmit=transmit, scatter=scatter)
+        PhotonChannel(transmit=transmit, scatter=scatter)
         for bad in (1.001, np.nan):
             broken = scatter.copy()
             broken[1, 2, 0, 3] *= bad
             with pytest.raises(NumericsError):
-                PhotonChannel(grid=grid, transmit=transmit, scatter=broken)
+                PhotonChannel(transmit=transmit, scatter=broken)
 
     def test_constructed_channel_is_complete(self, setup):
         state = stored_spinwave(setup.geometry, n_points=101)
         ch = photon_channel(state.grid, setup.params, setup.interaction,
                             setup.resonance_field)
-        total = np.abs(ch.transmit) ** 2 + np.sum(np.abs(ch.scatter) ** 2, axis=0)
+        assert ch.transmit.shape == (1, 101) and ch.scatter.shape == (1, 101, 101)
+        total = np.abs(ch.transmit) ** 2 + np.sum(np.abs(ch.scatter) ** 2, axis=-2)
         assert np.max(np.abs(total - 1.0)) < 1e-6
 
     def test_apply_preserves_trace_and_probability(self, setup):
@@ -216,8 +244,8 @@ class TestDenseKernels:
         ch = photon_channel(grid, setup.params, setup.interaction, field,
                             gate_offset=gate, source_offset=source, density_scale=scale)
         assert calls == [1]
-        _assert_matches_dense_reference(ch.transmit, ch.scatter, grid, setup, field,
-                                        gate, source, scale)
+        _assert_matches_dense_reference(ch.transmit[0], ch.scatter[0], grid, setup,
+                                        field, gate, source, scale)
 
     def test_path_block_on_a_field_grid_matches_dense_row_reference(
             self, setup, monkeypatch):
@@ -253,8 +281,8 @@ class TestDenseKernels:
             ch = photon_channel(grid, setup.params, setup.interaction,
                                 setup.resonance_field, gate_offset=kw["gate"],
                                 source_offset=kw["source"], density_scale=kw["scale"])
-            _assert_matches_dense_reference(ch.transmit, ch.scatter, grid, setup,
-                                            setup.resonance_field, **kw)
+            _assert_matches_dense_reference(ch.transmit[0], ch.scatter[0], grid,
+                                            setup, setup.resonance_field, **kw)
         assert ch.scatter.imag.any()
 
     def test_non_uniform_grid_raises(self, setup):
@@ -269,14 +297,14 @@ class TestDenseKernels:
 
     def test_decoherence_matrix_matches_einsum(self, off_axis):
         _, ch = off_axis
-        t = ch.transmit
-        ref = np.outer(t, t.conj()) + np.einsum(
-            "sg,sh->gh", ch.scatter, ch.scatter.conj())
+        (t,), (s,) = ch.transmit, ch.scatter
+        ref = np.outer(t, t.conj()) + np.einsum("sg,sh->gh", s, s.conj())
+        assert ch.decoherence_matrix.shape == (61, 61)
         assert np.max(np.abs(ch.decoherence_matrix - ref)) <= 1e-12
 
     def test_scattered_branch_is_decoherence_minus_transmitted(self, off_axis):
         state, ch = off_axis
-        t = ch.transmit
+        t = ch.transmit[0]
         rho_p, rho_s = channel_branches(state.rho, ch)
         ref = (ch.decoherence_matrix - np.outer(t, t.conj())) * state.rho
         assert np.max(np.abs(rho_s - ref)) <= 1e-12
@@ -284,12 +312,13 @@ class TestDenseKernels:
 
     def test_generating_function_matches_truncated_poisson_sum(self, setup):
         state = stored_spinwave(setup.geometry, n_points=61)
-        decoherence, p_scatter = transverse_channels(
-            state, setup.geometry, setup.params, setup.interaction,
-            setup.resonance_field, n_offsets=3, seed=0,
-        )
         means = np.array([0.0, 0.5, 3.0, 20.0, 66.0, 140.0])
-        rows = _curve(state, decoherence, p_scatter, means, eta_base=_ETA_BASE)
+        overlap, p_scatter = transverse_channels(
+            state, setup.geometry, setup.params, setup.interaction,
+            setup.resonance_field, n_offsets=3, seed=0, source_means=means,
+        )
+        rows = retrieval_efficiency_curve(overlap, p_scatter, means, _ETA_BASE)
+        decoherence, _ = _group_matrices(state, setup, setup.resonance_field, 3, 0)
 
         # sum_k Poisson(k; mu) <psi| D^k o rho |psi>, truncated far in the tail
         psi = np.sqrt(np.real(np.diag(state.rho)))
@@ -336,10 +365,7 @@ class TestTriangleForm:
     def test_matches_full_matrix_on_transverse_channels(self, setup, at_resonance):
         state = stored_spinwave(setup.geometry, n_points=61)
         field = setup.resonance_field if at_resonance else 0.0
-        decoherence, _ = transverse_channels(
-            state, setup.geometry, setup.params, setup.interaction, field,
-            n_offsets=2, seed=0,
-        )
+        decoherence, _ = _group_matrices(state, setup, field, 2, 0)
         # on resonance V_ef is purely dissipative and D is real; off
         # resonance the propagation phases make it complex
         assert (np.max(np.abs(decoherence.imag)) > 1e-3) != at_resonance
@@ -442,47 +468,51 @@ class TestRetrievalCurve:
 
     def test_transverse_channels_structure(self, setup):
         state = stored_spinwave(setup.geometry, n_points=51)
-        decoherence, p_scatter = transverse_channels(
+        means = [0.0, 2.0, 30.0]
+        overlap, p_scatter = transverse_channels(
             state, setup.geometry, setup.params, setup.interaction,
-            setup.resonance_field, n_offsets=3, seed=0,
+            setup.resonance_field, n_offsets=3, seed=0, source_means=means,
         )
-        assert decoherence.shape == (3, 51, 51)
+        assert overlap.shape == (3, 3)
         assert p_scatter.shape == (3,)
+        # no source photon leaves the stored mode whole, and more decohere it
+        assert np.max(np.abs(overlap[:, 0] - 1.0)) <= 1e-12
+        assert np.all(np.diff(overlap, axis=1) < 0.0) and np.all(overlap > 0.0)
         # a mean of Kraus decoherence matrices: Hermitian with unit diagonal
+        decoherence, _ = _group_matrices(state, setup, setup.resonance_field, 3, 0)
         for d in decoherence:
             assert np.max(np.abs(d - d.conj().T)) <= 1e-12
             assert np.max(np.abs(np.diag(d) - 1.0)) <= 1e-6
         assert np.all((p_scatter >= 0.0) & (p_scatter <= 1.0))
 
-    def test_group_summaries_match_channels_built_by_hand(self, setup):
+    def test_group_summaries_match_channels_built_by_hand(self, setup, monkeypatch):
         state = stored_spinwave(setup.geometry, n_points=41)
         field = setup.resonance_field
-        decoherence, p_scatter = transverse_channels(
+        means = [0.0, 1.0, 7.5, 40.0]
+        # the group matrices that `transverse_channels` reduces to rows
+        groups = []
+
+        def recording(state, decoherence, source_means):
+            groups.append(decoherence.copy())
+            return poisson_overlap(state, decoherence, source_means)
+
+        monkeypatch.setattr(spinwave, "poisson_overlap", recording)
+        overlap, p_scatter = transverse_channels(
             state, setup.geometry, setup.params, setup.interaction, field,
-            n_offsets=2, seed=7,
+            n_offsets=2, seed=7, source_means=means,
         )
-        samples = sample_geometry(setup.geometry, 2, np.random.default_rng(7))
-        p_diag = np.real(np.diag(state.rho))
+        decoherence, excess = _group_matrices(state, setup, field, 2, 7)
+        assert len(groups) == 2
         for i in range(2):
-            ds, excess = [], []
-            for j in range(2):
-                scale = float(samples.density_scales[j])
-                ch = photon_channel(
-                    state.grid, setup.params, setup.interaction, field,
-                    gate_offset=tuple(samples.gates[i, :2]),
-                    source_offset=tuple(samples.offsets[j]),
-                    density_scale=scale,
-                )
-                ds.append(ch.decoherence_matrix)
-                baseline = eit_baseline(setup.params, scale).intensity
-                lost = 1.0 - p_diag @ np.abs(ch.transmit) ** 2
-                excess.append(max(lost - (1.0 - baseline), 0.0))
-            assert np.max(np.abs(decoherence[i] - np.mean(ds, axis=0))) <= 1e-15
-            assert abs(p_scatter[i] - np.mean(excess)) <= 1e-15
+            assert np.max(np.abs(groups[i] - decoherence[i])) <= 1e-15
+            assert np.array_equal(overlap[i], poisson_overlap(state, groups[i], means))
+            assert abs(p_scatter[i] - excess[i]) <= 1e-15
+        ref = poisson_overlap(state, decoherence, means)
+        assert np.max(np.abs(overlap - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_transverse_channels_hold_one_channel_at_a_time(self, setup):
         # 6 x 6 channels of 101 points: holding them all would trace about
-        # 36 scatter matrices; the summaries alone are 6 matrices
+        # 36 scatter matrices
         state = stored_spinwave(setup.geometry, n_points=101)
         matrix_bytes = 101 * 101 * np.dtype(complex).itemsize
         tracemalloc.start()
@@ -490,6 +520,7 @@ class TestRetrievalCurve:
             transverse_channels(
                 state, setup.geometry, setup.params, setup.interaction,
                 setup.resonance_field, n_offsets=6, seed=0,
+                source_means=[0.0, 1.0, 10.0],
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -519,9 +550,10 @@ class TestPathBlocks:
         for k, field in enumerate(fields):
             one = photon_channel(state.grid, setup.params, setup.interaction,
                                  float(field), **kw)
-            assert one.transmit.shape == (61,) and one.scatter.shape == (61, 61)
-            assert np.array_equal(ch.transmit[k, 0], one.transmit)
-            assert np.array_equal(ch.scatter[k, 0], one.scatter)
+            assert one.transmit.shape == (1, 61) and one.scatter.shape == (1, 61, 61)
+            assert one.decoherence_matrix.shape == (61, 61)
+            assert np.array_equal(ch.transmit[k], one.transmit)
+            assert np.array_equal(ch.scatter[k], one.scatter)
             assert np.array_equal(d[k], one.decoherence_matrix)
 
     def test_mixture_is_the_mean_of_its_paths(self, setup, paths):
@@ -549,18 +581,20 @@ class TestPathBlocks:
         state, _, fields = paths
         args = (state, setup.geometry, setup.params, setup.interaction)
         # 4 paths: a block of 3 and a block of 1
-        d, p = transverse_channels(*args, fields, n_offsets=4, seed=3)
-        assert d.shape == (2, 4, 61, 61) and p.shape == (2, 4)
         means = [0.0, 1.0, 7.5, 40.0]
-        overlap, p_rows = transverse_channels(*args, fields, n_offsets=4, seed=3,
-                                              source_means=means)
-        assert overlap.shape == (2, 4, 4)
-        assert np.array_equal(p_rows, p)
+        overlap, p = transverse_channels(*args, fields, n_offsets=4, seed=3,
+                                         source_means=means)
+        assert overlap.shape == (2, 4, 4) and p.shape == (2, 4)
         for k, field in enumerate(fields):
-            d_k, p_k = transverse_channels(*args, float(field), n_offsets=4, seed=3)
-            assert np.array_equal(d[k], d_k)
+            overlap_k, p_k = transverse_channels(*args, float(field), n_offsets=4,
+                                                 seed=3, source_means=means)
+            assert overlap_k.shape == (4, 4) and p_k.shape == (4,)
+            assert np.array_equal(overlap[k], overlap_k)
             assert np.array_equal(p[k], p_k)
-            assert np.array_equal(overlap[k], poisson_overlap(state, d_k, means))
+            d_k, excess_k = _group_matrices(state, setup, float(field), 4, 3)
+            ref = poisson_overlap(state, d_k, means)
+            assert np.max(np.abs(overlap_k - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.max(np.abs(p_k - excess_k)) <= 1e-15
 
 
 def _single_path_channel(grid, params, interaction, field, gate, source, scale):

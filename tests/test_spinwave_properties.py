@@ -25,7 +25,7 @@ def test_channel_matches_dense_reference_on_random_grids(
     # constructing the channel runs its Kraus completeness check
     ch = photon_channel(grid, setup.params, setup.interaction, field,
                         gate_offset=gate, source_offset=source, density_scale=scale)
-    _assert_matches_dense_reference(ch.transmit, ch.scatter, grid, setup, field,
+    _assert_matches_dense_reference(ch.transmit[0], ch.scatter[0], grid, setup, field,
                                     gate, source, scale)
-    total = np.abs(ch.transmit) ** 2 + np.sum(np.abs(ch.scatter) ** 2, axis=0)
+    total = np.abs(ch.transmit) ** 2 + np.sum(np.abs(ch.scatter) ** 2, axis=-2)
     assert np.max(np.abs(total - 1.0)) <= 1e-12
