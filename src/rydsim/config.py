@@ -335,6 +335,20 @@ def build_setup(config: RunConfig) -> SimulationSetup:
             raise ConfigError(
                 f"{name} = {rate:g} rad/us is too large: its square overflows"
             )
+    # Omega^2 divides the EIT term, so it must not underflow to 0 either
+    if omega_rabi * omega_rabi == 0.0:
+        raise ConfigError(
+            f"omega_rabi = {omega_rabi:g} rad/us is too small: its square "
+            "underflows to 0"
+        )
+    # the transport and spin-wave grids square distances across the
+    # integration span, 3 cloud half-lengths either side of the centre
+    span = 6.0 * geometry.cloud_half_length
+    if not math.isfinite(span * span):
+        raise ConfigError(
+            f"cloud_half_length = {geometry.cloud_half_length:g} um is too "
+            f"large: the square of its {span:g} um integration span overflows"
+        )
     params = PropagationParams(
         g=g_peak,
         omega_rabi=omega_rabi,

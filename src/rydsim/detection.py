@@ -26,6 +26,7 @@ from .ensemble import (
     boxcar_convolve,
     sample_intensities,
 )
+from .errors import NumericsError
 from .interaction import InteractionParams
 from .propagation import PropagationParams
 
@@ -129,7 +130,12 @@ def fidelity_scan(
     for kr, rate in enumerate(rates):
         scale = eta * rate * stats.pulse_length
         mu0s = scale * i0
-        k_max = int(count_window(mu0s.max()))
+        k_max = count_window(mu0s.max())
+        if not np.isfinite(k_max):
+            raise NumericsError(
+                f"non-finite gate-free count mean at rate {rate:g} /us"
+            )
+        k_max = int(k_max)
         pmf_absent = poisson_mixture_pmf(mu0s, k_max)
         for kf, i1 in enumerate(table):
             pmf_present = poisson_mixture_pmf(scale * i1, k_max)

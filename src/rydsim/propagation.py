@@ -16,33 +16,34 @@ unphysical sign).
 The gate-free factor has the closed form `eit_baseline`.  The gated
 solver `transmission_batch` multiplies it by the blockade factor,
 integrated on a graded grid; `transmission_freq` integrates the full chi
-by adaptive quadrature as an independent reference.  Both evaluate the
-blockade term in one real-arithmetic kernel, `_blockade_kernel`: with
-V_ef = C/d^6 it is w / (a - i*beta), where w = g^2/d^6 and
-beta = gamma/d^6 do not depend on the field and a = Omega^2/C is one
-complex scalar per field; `chi_values` adds that term to the EIT term in
-one complex form, for one V_ef prefactor or a grid of them.
-`transmission_batch` builds its grid and runs its field loop one row
-block of about 2^15 cells at a time, so the tables a block reads stay in
-cache while every field passes over them; rows are independent, so the
-result does not depend on the blocking.
+by adaptive Gauss-Legendre quadrature as an independent reference.  Both
+evaluate the blockade term in one real-arithmetic kernel,
+`_blockade_kernel`: with V_ef = C/d^6 it is w / (a - i*beta), where
+w = g^2/d^6 and beta = gamma/d^6 do not depend on the field and
+a = Omega^2/C is one complex scalar per field; `chi_values` adds that
+term to the EIT term in one complex form, for one V_ef prefactor or a
+grid of them.  `transmission_batch` builds its grid and runs its field
+loop one row block of about 2^15 cells at a time, so the tables a block
+reads stay in cache while every field passes over them; rows are
+independent, so the result does not depend on the blocking.
 
 Time domain: the same transport is discretised from the four coupled
 amplitudes (photon, intermediate P, source Rydberg S, and the gate-source
 P-pair component), with no adiabatic elimination, as an independent
 oracle.  One time step is a fixed linear map of the state plus the
 input, so under a monochromatic input the exact steady state of the
-stepping scheme is one sparse linear solve; `transmission_time_oracle`
-builds each parameter set it is given and makes that solve, one set at a
-time, in place of stepping a long pulse until it settles.
+stepping scheme solves one linear system; the atomic amplitudes are
+cell-local, so `transmission_time_oracle` reduces it to one small solve
+per cell and a product along the cloud, in place of stepping a long
+pulse until it settles.
 
-The two reference solvers import scipy (`quad`, `expm`, `spsolve`) on
-first call, so importing this module, and the pipelines that use only
-`transmission_batch`, load numpy alone.
+Both reference solvers use numpy alone, so no pipeline but the fidelity
+scan's Poisson mixture loads scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -71,9 +72,25 @@ _GRID_GATE_OFFSETS = np.concatenate(
 # grid points (about 140 rows of the 234-point grid).
 _BLOCK_CELLS = 2**15
 
-# Memory bound on one time-domain oracle set's step operator and its LU
-# factor, the only ones that exist at a time.
+# Memory bound on the stacked `_expm` work arrays of one time-domain oracle
+# set, the largest arrays that exist at a time.
 _MAX_ORACLE_SET_BYTES = 2**26
+
+# Stack-sized complex arrays `_oracle_set` and `_expm` hold at their peak.
+_EXPM_WORK_ARRAYS = 12
+
+# Degree-13 Pade coefficients and the 1-norm up to which that approximant
+# of exp is accurate to double precision without scaling (Higham 2005).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+# Points of the Gauss-Legendre rule on each panel of `transmission_freq`,
+# and the panel count at which its bisection gives up.
+_GAUSS_POINTS = 10
+_MAX_PANELS = 400
 
 _SQRT_PI = np.sqrt(np.pi)
 
@@ -240,10 +257,11 @@ def transmission_freq(
 
     `path_offset` is (bx, by) in um (a scalar is taken as bx); the gate
     sits at the 3D point `gate_position`.  The complex exponent is
-    integrated by adaptive quadrature with relative tolerance `rtol`.
+    integrated by adaptive Gauss-Legendre quadrature (`_adaptive_integral`)
+    with relative tolerance `rtol`, with breakpoints at the gate, 20 um
+    either side of it, where the R_MIN clamp sets in and at the edges of a
+    uniform slab.
     """
-    from scipy.integrate import quad
-
     gamma_p = interaction.gamma_p if interaction is not None else 0.0
     _check_validity(params, gamma_p)
     b = np.atleast_1d(np.asarray(path_offset, dtype=float))
@@ -257,30 +275,86 @@ def transmission_freq(
         t_dist_sq = (bx - gx) ** 2 + (by - gy) ** 2
         pref = effective_c6(params.omega, field, interaction)
 
-    # quad(complex_func=True) integrates the real and imaginary parts in two
-    # passes over mostly the same nodes; each node's chi is computed once
-    chi_at = {}
-
     def integrand(z):
-        value = chi_at.get(z)
-        if value is None:
-            value = chi_at[z] = chi_values(
-                z, params, pref, gate_z, t_dist_sq, density_scale
-            )
-        return value
+        return chi_values(z, params, pref, gate_z, t_dist_sq, density_scale)
 
     span = params.z_extent
-    points = None
+    edges = [-span, span]
+    # chi jumps where a uniform slab ends and has a kink where the R_MIN
+    # clamp sets in; a Gauss rule across either converges slowly
+    if params.profile == "uniform":
+        edges += [-params.cloud_half_length, params.cloud_half_length]
     if pref != 0.0 and -span < gate_z < span:
-        points = [max(gate_z - 20.0, -span), gate_z, min(gate_z + 20.0, span)]
-    try:
-        integral, _ = quad(
-            integrand, -span, span, complex_func=True,
-            epsrel=rtol, epsabs=1e-12, limit=400, points=points,
-        )
-    except Exception as exc:  # pragma: no cover - quadrature failure path
-        raise NumericsError(f"transmission quadrature failed: {exc}") from exc
+        edges += [gate_z - 20.0, gate_z, gate_z + 20.0]
+        if t_dist_sq < R_MIN**2:
+            kink = np.sqrt(R_MIN**2 - t_dist_sq)
+            edges += [gate_z - kink, gate_z + kink]
+    edges = np.unique(np.clip(edges, -span, span))
+    integral = _adaptive_integral(integrand, edges, rtol)
     return TransmissionResult(amplitude=np.exp(1j * integral / params.c))
+
+
+@functools.cache
+def _gauss_rule():
+    """Gauss-Legendre nodes and weights on [-1, 1]; `numpy.polynomial` is
+    imported on first use, so the pipelines that never call
+    `transmission_freq` do not pay for it at start-up."""
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(_GAUSS_POINTS)
+
+
+def _adaptive_integral(f, edges, rtol: float) -> complex:
+    """Integral of the vectorised complex `f` over the sorted `edges`.
+
+    Each panel's Gauss-Legendre sum (`coarse`) is compared with the sum of
+    its two halves' (`left + right`), which is its value; the difference
+    is its error estimate.  While the summed error exceeds
+    max(1e-12, rtol * |integral|), every panel whose error exceeds that
+    tolerance over the panel count is bisected: its halves become panels
+    whose coarse sums are known, and one call of `f` evaluates all their
+    halves' nodes.  Raises `NumericsError` on a non-finite sum or past
+    `_MAX_PANELS` panels.
+    """
+    nodes, weights = _gauss_rule()
+
+    def gauss(lo, hi):
+        half = 0.5 * (hi - lo)
+        z = (lo + half)[:, None] + half[:, None] * nodes
+        return half * (f(z) @ weights)
+
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    coarse, left, right = np.split(
+        gauss(np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi])), 3)
+    while True:
+        fine = left + right
+        err = np.abs(coarse - fine)
+        total, err_sum = fine.sum(), err.sum()
+        tol = max(1e-12, rtol * abs(total))
+        if not (np.isfinite(total) and np.isfinite(err_sum)):
+            raise NumericsError(f"transmission quadrature failed: integral {total}")
+        if err_sum <= tol:
+            return complex(total)
+        # the worst panel always splits, so the panel bound ends the loop
+        split = (err > tol / err.size) | (err == err.max())
+        if err.size + np.count_nonzero(split) > _MAX_PANELS:
+            raise NumericsError(
+                f"transmission quadrature failed: no convergence in "
+                f"{_MAX_PANELS} panels (error {err_sum:.3g}, tolerance {tol:.3g})"
+            )
+        keep = ~split
+        mid = 0.5 * (lo + hi)
+        new_lo = np.concatenate([lo[split], mid[split]])
+        new_hi = np.concatenate([mid[split], hi[split]])
+        new_mid = 0.5 * (new_lo + new_hi)
+        new_left, new_right = np.split(gauss(np.concatenate([new_lo, new_mid]),
+                                             np.concatenate([new_mid, new_hi])), 2)
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        coarse = np.concatenate([coarse[keep], left[split], right[split]])
+        left = np.concatenate([left[keep], new_left])
+        right = np.concatenate([right[keep], new_right])
 
 
 def _graded_grid(z_extent: float, gate_z):
@@ -383,27 +457,49 @@ def transmission_batch(
     return amps if fields.ndim else amps[0]
 
 
+def _expm(a):
+    """exp of each matrix of the stack `a` (..., n, n).
+
+    The degree-13 Pade approximant with scaling and squaring (Higham
+    2005): each matrix is scaled by its own power of two 2^s, s the least
+    with 1-norm / 2^s <= theta_13, and its approximant squared s times.
+    """
+    _, s = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA13)
+    s = np.maximum(s, 0)
+    a = a / np.exp2(s)[..., None, None]
+    b = _PADE13
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(s.max()):
+        more = s > k
+        r[more] = r[more] @ r[more]
+    return r
+
+
 def _oracle_set(params: PropagationParams, interaction: InteractionParams,
                 gate_z: float, field: float):
     """Cell step blocks of one oracle parameter set.
 
-    Returns `(blocks, g_local, dt)`: `blocks` is the (m, m + 1, n_z)
-    [atomic propagators | photon drive column] of each cell's step, a view
-    of one stacked `expm`; `g_local` is the local coupling g(z) per cell.
+    Returns `(blocks, g_local, dt)`: `blocks` is the (n_z, m, m + 1)
+    [atomic propagator | photon drive column] of each cell's step, a view
+    of one stacked `_expm`; `g_local` is the local coupling g(z) per cell.
     """
-    from scipy.linalg import expm
-
     span = params.z_extent
     n_z = int(round(2 * span / min(params.cloud_half_length / 60.0, 0.35))) + 1
     channels = interaction.channels
     m = 2 + len(channels)
-    # the step operator has at most (m + 1)^2 entries per cell, each a
-    # 16-byte value and an 8-byte index; its LU factor adds about twice that
-    operator_bytes = 3 * 24 * n_z * (m + 1) ** 2
-    if operator_bytes > _MAX_ORACLE_SET_BYTES:
+    work_bytes = _EXPM_WORK_ARRAYS * 16 * n_z * (m + 1) ** 2
+    if work_bytes > _MAX_ORACLE_SET_BYTES:
         raise ConfigError(
             f"time-domain grid too fine: {n_z} cells need "
-            f"{operator_bytes / 2**20:.3g} MiB of step operator and LU factor, "
+            f"{work_bytes / 2**20:.3g} MiB of propagator work arrays, "
             f"above the {_MAX_ORACLE_SET_BYTES / 2**20:g} MiB limit; reduce the span"
         )
     z = np.linspace(-span, span, n_z)
@@ -430,42 +526,8 @@ def _oracle_set(params: PropagationParams, interaction: InteractionParams,
         a[:, 2 + k, 1] = -1j * v
         a[:, 2 + k, 2 + k] = -interaction.gamma_p - 1j * forster_defect(ch, field)
     a[:, 0, m] = -1j * g_local  # photon drive column
-    step = expm(a * dt)
-    return np.moveaxis(step[:, :m], 0, -1), g_local, dt
-
-
-def _oracle_step(blocks, g_local, dt):
-    """One time step of an oracle set (see `_oracle_set`) as y <- M y + inject u.
-
-    The state is y = [x_0, ..., x_(m-1), e], each a row over the cells.
-    The cell `blocks` move x, the photon is advected one cell,
-    e[z] = e[z-1] + dt/2 * (g_src[z] x_0[z] + g_src[z-1] x_0[z-1]) with
-    g_src = -i g(z), and the input u is written into the first cell, whose
-    rows of M are empty.  Returns the sparse CSR M and the dense
-    unit vectors `inject` (first cell's photon) and `read` (last cell's).
-    """
-    from scipy import sparse
-
-    m, _, n_cells = blocks.shape
-    n_state = (m + 1) * n_cells
-    index = np.arange(n_state).reshape(m + 1, n_cells)
-    z = np.arange(1, n_cells)  # cells the photon moves into
-    source = 0.5 * dt * (-1j * g_local)
-    rows = np.concatenate([
-        np.broadcast_to(index[:m, None], blocks.shape).ravel(),
-        np.tile(index[m, z], 3)])
-    cols = np.concatenate([
-        np.broadcast_to(index[None], blocks.shape).ravel(),
-        index[m, z - 1], index[0, z], index[0, z - 1]])
-    vals = np.concatenate([blocks.ravel(), np.ones(z.size), source[z],
-                           source[z - 1]])
-    step = sparse.csr_array((vals, (rows, cols)), shape=(n_state, n_state))
-    step.eliminate_zeros()
-    inject = np.zeros(n_state)
-    inject[index[m, 0]] = 1.0
-    read = np.zeros(n_state)
-    read[index[m, -1]] = 1.0
-    return step, inject, read
+    a *= dt
+    return _expm(a)[:, :m], g_local, dt
 
 
 def transmission_time_oracle(
@@ -479,29 +541,32 @@ def transmission_time_oracle(
     of `interaction`, for a gate on axis at `gate_z`) are discretised on a
     z grid of spacing min(L/60, 0.35 um), L the cloud half-length, with
     exact characteristic advection (dt = dz/c) for the photon and an exact
-    linear-propagator step for the local atomic amplitudes.  One step is
-    the linear, time-invariant map y <- M y + inject u (`_oracle_step`),
-    so under the monochromatic input u_t = exp(-i omega t) its exact
-    steady state y_t = Y exp(-i omega t) solves
+    linear-propagator step for the local atomic amplitudes.  One step
+    maps each cell's atomic amplitudes x_z <- P_z x_z + d_z e_z by its
+    `_oracle_set` block [P_z | d_z], advects the photon one cell,
+    e_z <- e_(z-1) + dt/2 (-i g_(z-1) x_(z-1),0 - i g_z x_z,0), and writes
+    the input u into the first cell.  Under the monochromatic
+    input u_t = exp(-i omega t) the exact steady state of that map solves
+    (q I - M) Y = q inject, q = exp(-i omega dt), cell by cell:
+    x_z = (q I - P_z)^-1 d_z e_z, so with rho_z the P component of
+    (q I - P_z)^-1 d_z and h_z = dt/2 (-i g_z) rho_z,
 
-        (q I - M) Y = q inject,    q = exp(-i omega dt),
+        e_0 = 1,    e_z = e_(z-1) (1 + h_(z-1)) / (q - h_z),
 
-    one sparse LU solve per set; the transmitted amplitude is the last
-    cell's photon, read Y.  Nothing is time-stepped, so the result does
+    and the transmitted amplitude is the last cell's e, one batched solve
+    and one product per set.  Nothing is time-stepped, so the result does
     not depend on a run length.  Returns one result per set.
 
     Sets are built and solved one at a time; a set over the size bound of
     `_oracle_set` fails before its propagators are built.
     """
-    from scipy import sparse
-    from scipy.sparse.linalg import spsolve
-
     results = []
     for params, inter, gate_z in sets:
         blocks, g_local, dt = _oracle_set(params, inter, gate_z, field)
-        step, inject, read = _oracle_step(blocks, g_local, dt)
+        m = blocks.shape[1]
         q = np.exp(-1j * params.omega * dt)
-        lhs = q * sparse.eye_array(step.shape[0], format="csr") - step
-        amp = read @ spsolve(lhs, q * inject)
+        rho = np.linalg.solve(q * np.eye(m) - blocks[:, :, :m], blocks[:, :, m:])
+        h = 0.5 * dt * (-1j * g_local) * rho[:, 0, 0]
+        amp = np.prod((1.0 + h[:-1]) / (q - h[1:]))
         results.append(TransmissionResult(amplitude=complex(amp)))
     return results

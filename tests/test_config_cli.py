@@ -333,6 +333,10 @@ class TestCli:
              "beam_waist = 1e-200 um gives the gate a transverse spread of nan um"),
             ("retrieval", ["--set", "beam_waist=1e200"],
              "beam_waist = 1e+200 um gives the gate a transverse spread of nan um"),
+            ("retrieval", ["--set", "cloud_half_length=1e300"],
+             "cloud_half_length = 1e+300 um is too large"),
+            ("retrieval", ["--set", "omega_rabi_mhz=1e-300"],
+             "omega_rabi = 6.28319e-300 rad/us is too small"),
         ],
     )
     def test_bad_scan_input_exits_with_config_code(self, tmp_path, scan, args,
@@ -342,6 +346,7 @@ class TestCli:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "config error:" in result.stderr
+        assert "Traceback" not in result.stderr
         assert message in result.stderr
         assert not (tmp_path / "summary.json").exists()
 
@@ -380,8 +385,8 @@ class TestCli:
 
     @pytest.mark.parametrize("scan", SCAN_TYPES)
     def test_cli_start_up_imports_no_scipy(self, scan):
-        # scipy costs 0.6-1 s of every sim start-up; only the reference
-        # solvers and the Poisson mixture import it, on first call
+        # scipy costs 0.6-1 s of every sim start-up; only the fidelity
+        # scan's Poisson mixture imports it, on first call
         code = ("import sys, rydsim.cli; "
                 "from rydsim.config import build_setup, load_config; "
                 f"build_setup(load_config(None, {scan!r})); "
@@ -396,12 +401,14 @@ class TestCli:
             ("retrieval", {"retrieval_offsets": 1, "spinwave_points": 11},
              [], ["scipy"]),
             ("starkmap", {}, [], ["scipy"]),
+            ("oracle-check", {"oracle_sets": 2}, [], ["scipy"]),
             ("fidelity-scan", {"samples": 20, "field_grid": "0.70,0.71",
                                "rate_grid": "10"},
              ["scipy.special"],
              ["scipy.integrate", "scipy.optimize", "scipy.linalg"]),
         ],
-        ids=["gain-scan", "retrieval", "starkmap", "fidelity-scan"],
+        ids=["gain-scan", "retrieval", "starkmap", "oracle-check",
+             "fidelity-scan"],
     )
     def test_pipeline_imports_only_the_scipy_it_calls(self, tmp_path, scan,
                                                       overrides, loaded,
@@ -432,6 +439,23 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert "numerical failure:" in result.stderr
         assert "non-finite fidelities" in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_gate_free_mean_exits_with_numerics_code(self, tmp_path):
+        # as for the gain scan below, a vanishing speed of light makes the
+        # gate-free intensities NaN; the count window must not be built
+        runner = CliRunner()
+        with pytest.warns(RuntimeWarning):
+            result = runner.invoke(main, [
+                "fidelity-scan", "--samples", "20", "--set", "speed_of_light=1e-300",
+                "--set", "field_grid=0.70,0.71", "--set", "rate_grid=10",
+                "--out", str(tmp_path),
+            ])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.stderr
+        assert "numerical failure:" in result.stderr
+        assert "non-finite gate-free count mean at rate 10 /us" in result.stderr
         assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_gain_exits_with_numerics_code(self, tmp_path):
