@@ -32,8 +32,10 @@ SCAN_TYPES = ("starkmap", "gain-scan", "fidelity-scan", "retrieval", "oracle-che
 
 SCHEMA_VERSION = 1
 
-# Memory bound on the fidelity scan's per-sample Poisson count table.
-_MAX_COUNT_TABLE_BYTES = 2**30
+# Bound on the work of one Poisson-mixture call of the fidelity scan:
+# samples x (k_max + 1) count cells, one exp each, counted as the bytes
+# they would take as float64.
+_MAX_MIXTURE_CELL_BYTES = 2**30
 
 # Upper end of the Stark range searched for resonances (V/cm).
 _FIELD_MAX = 2.0
@@ -168,15 +170,17 @@ def _validate(values: dict) -> None:
     rates = np.asarray(values["rate_grid"], dtype=float)
     if not np.all(np.isfinite(rates) & (rates >= 0)):
         raise ConfigError("rate_grid entries must be finite and >= 0")
-    # fidelity_scan holds one float64 Poisson table of samples x (k_max + 1)
-    # counts; the transmitted intensity is at most 1, which bounds the mean
+    # each Poisson-mixture call of fidelity_scan evaluates samples x
+    # (k_max + 1) count cells (it holds only a block of them at a time); the
+    # transmitted intensity is at most 1, which bounds the mean
     mu_max = (values["detector_efficiency"] * float(rates.max())
               * values["pulse_length"])
-    table_bytes = values["samples"] * (count_window(mu_max) + 1.0) * 8.0
-    if not table_bytes <= _MAX_COUNT_TABLE_BYTES:  # also catches inf and NaN
+    cell_bytes = values["samples"] * (count_window(mu_max) + 1.0) * 8.0
+    if not cell_bytes <= _MAX_MIXTURE_CELL_BYTES:  # also catches inf and NaN
         raise ConfigError(
-            f"fidelity count table needs {table_bytes / 2**30:.3g} GiB, above "
-            f"the {_MAX_COUNT_TABLE_BYTES / 2**30:g} GiB limit; lower samples, "
+            f"fidelity Poisson mixture evaluates {cell_bytes / 2**30:.3g} GiB "
+            f"of float64 count cells per call, above the "
+            f"{_MAX_MIXTURE_CELL_BYTES / 2**30:g} GiB limit; lower samples, "
             "rate_grid, pulse_length or detector_efficiency"
         )
     # a retrieval field beyond the searched Stark range lies past every
@@ -335,12 +339,6 @@ def build_setup(config: RunConfig) -> SimulationSetup:
             raise ConfigError(
                 f"{name} = {rate:g} rad/us is too large: its square overflows"
             )
-    # Omega^2 divides the EIT term, so it must not underflow to 0 either
-    if omega_rabi * omega_rabi == 0.0:
-        raise ConfigError(
-            f"omega_rabi = {omega_rabi:g} rad/us is too small: its square "
-            "underflows to 0"
-        )
     # the transport and spin-wave grids square distances across the
     # integration span, 3 cloud half-lengths either side of the centre
     span = 6.0 * geometry.cloud_half_length
@@ -381,6 +379,20 @@ def build_setup(config: RunConfig) -> SimulationSetup:
         raise ConfigError(
             f"omega = {params.omega:g} rad/us is too large: the blockade "
             f"term's |Omega^2/C6| = {a:g} overflows when squared"
+        )
+    # Omega^2 divides the EIT term of chi, g^2 (omega + i gamma_s) / Omega^2.
+    # The scans sum that term over the cloud, where it must stay finite, and
+    # numpy divides by Omega^2 through its reciprocal, which must too; the
+    # larger of the two bounds is checked.  (eit_baseline's exponent also
+    # divides by c: a small speed_of_light is left to the scans' checks.)
+    omega_sq = omega_rabi * omega_rabi
+    eit = (g_peak**2 * float(params.effective_length)
+           * math.hypot(params.omega, params.gamma_s))
+    if omega_sq == 0.0 or not math.isfinite(max(eit, 1.0) / omega_sq):
+        raise ConfigError(
+            f"omega_rabi = {omega_rabi:g} rad/us is too small: the cloud's "
+            f"EIT term g^2 L |omega + i gamma_s| / Omega^2 = {eit:g} / "
+            f"{omega_sq:g} overflows"
         )
     stats = PhotonStats(
         gate_mean_in=config.gate_mean_in,

@@ -8,12 +8,14 @@ mixtures over the geometry samples, and a count threshold classifies
 each shot.  The detection fidelity is the worst-case probability of a
 correct call, maximized over the threshold.
 
-`poisson_mixture_pmf` imports `scipy.special.gammaln` on first call, so
-importing this module loads numpy alone.
+`poisson_mixture_pmf` evaluates the mixture in blocks of rows with a
+log-factorial table that equals `scipy.special.gammaln(k + 1)` bit for
+bit, so this module needs numpy alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -65,26 +67,96 @@ def count_window(mu_max):
     return np.ceil(mu_max + 8.0 * np.sqrt(mu_max + 1.0))
 
 
+# Cephes `lgam`, which scipy.special.gammaln evaluates: log(sqrt(2 pi)) and
+# the Stirling-series coefficients of 1/x^2 for 13 <= x < 1000, highest
+# power first
+_LS2PI = 0.91893853320467274178
+_STIRLING = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+
+# log k! for k = 0..size-1, grown on demand and shared by every call
+_log_factorial_table = np.zeros(0)
+
+# Rows of the mixture evaluated at once; about this many bytes of float64
+_BLOCK_BYTES = 2**20
+
+
+def _lgam(x: float) -> float:
+    """log Gamma(x) at an integer x >= 1, as Cephes `lgam` rounds it.
+
+    Each entry uses `math.log`: numpy's vectorized log differs from libm in
+    the last bit at a few points.
+    """
+    if x < 13.0:
+        return math.log(math.factorial(int(x) - 1))
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p
+                     - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    poly = 0.0
+    for c in _STIRLING:
+        poly = poly * p + c
+    return q + poly / x
+
+
+def _log_factorials(size: int) -> np.ndarray:
+    """Read-only log k! for k = 0..size-1, bit for bit gammaln(k + 1)."""
+    global _log_factorial_table
+    have = _log_factorial_table.size
+    if size > have:
+        grown = np.concatenate([
+            _log_factorial_table,
+            np.fromiter((_lgam(k + 1.0) for k in range(have, size)),
+                        dtype=float, count=size - have),
+        ])
+        grown.flags.writeable = False
+        _log_factorial_table = grown
+    return _log_factorial_table[:size]
+
+
 def poisson_mixture_pmf(mus: np.ndarray, k_max: int) -> np.ndarray:
     """PMF of a uniform mixture of Poisson distributions over counts 0..k_max.
 
     Each component Poisson(k; mu_s) is evaluated exactly in log space,
-    exp(k log mu - gammaln(k + 1) - mu), in one (len(mus), k_max + 1)
-    buffer, then averaged over the rows.  Column 0 is set to -mu before
-    the exponential, so mu = 0 gives the exact delta at k = 0 instead of
-    the 0 * log 0 = NaN of the product.
-    """
-    from scipy.special import gammaln
+    exp(k log mu - log k! - mu), then averaged over the rows.  Column 0 is
+    set to -mu before the exponential, so mu = 0 gives the exact delta at
+    k = 0 instead of the 0 * log 0 = NaN of the product.
 
+    The rows go in blocks of about `_BLOCK_BYTES`, each with the running
+    column sum as its row 0, so the one sum over rows adds them in the
+    order a single (len(mus), k_max + 1) buffer would: the result is that
+    buffer's mean bit for bit.  A one-column sum over rows is pairwise
+    rather than row by row, so k_max = 0 is not split.
+    """
     mus = np.asarray(mus, dtype=float)
-    k = np.arange(k_max + 1, dtype=float)
-    buf = np.empty((mus.size, k.size))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.multiply(np.log(mus)[:, None], k, out=buf)
-    buf -= gammaln(k + 1.0)
-    buf -= mus[:, None]
-    buf[:, :1] = -mus[:, None]
-    return np.exp(buf, out=buf).mean(axis=0)
+    n_k = k_max + 1
+    log_fact = _log_factorials(n_k)
+    k = np.arange(n_k, dtype=float)
+    rows = mus.size if n_k == 1 else max(1, _BLOCK_BYTES // (8 * n_k))
+    buf = np.empty((min(rows, mus.size) + 1, n_k))
+    total = None
+    for start in range(0, mus.size, rows):
+        mu = mus[start:start + rows]
+        terms = buf[1:mu.size + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.multiply(np.log(mu)[:, None], k, out=terms)
+        terms -= log_fact
+        terms -= mu[:, None]
+        terms[:, :1] = -mu[:, None]
+        np.exp(terms, out=terms)
+        if total is None:
+            total = terms.sum(axis=0)
+        else:
+            buf[0] = total
+            total = buf[:mu.size + 1].sum(axis=0)
+    return total / mus.size
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,7 @@ cell-local, so `transmission_time_oracle` reduces it to one small solve
 per cell and a product along the cloud, in place of stepping a long
 pulse until it settles.
 
-Both reference solvers use numpy alone, so no pipeline but the fidelity
-scan's Poisson mixture loads scipy.
+Both reference solvers use numpy alone, as every pipeline does.
 """
 
 from __future__ import annotations

@@ -182,7 +182,7 @@ def photon_channel(
     t = t.reshape(fields.shape + (n_paths, n))
     # clip |t| <= 1 against roundoff
     mag = np.abs(t)
-    t = np.where(mag > 1.0, t / mag, t)
+    np.divide(t, mag, out=t, where=mag > 1.0)
     lost = np.clip(1.0 - np.abs(t) ** 2, 0.0, None).reshape(-1, n_paths, n)
 
     prefactors = [effective_c6(params.omega, float(f), interaction)

@@ -16,6 +16,26 @@ def _poisson_hist(mu, k_max=80):
     return sps.poisson.pmf(np.arange(k_max + 1), mu)
 
 
+def _one_buffer_pmf(mus, k_max):
+    """`poisson_mixture_pmf` as it was before it went in row blocks: every
+    row in one (len(mus), k_max + 1) buffer, with scipy's gammaln."""
+    from scipy.special import gammaln
+
+    mus = np.asarray(mus, dtype=float)
+    k = np.arange(k_max + 1, dtype=float)
+    buf = np.empty((mus.size, k.size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.multiply(np.log(mus)[:, None], k, out=buf)
+    buf -= gammaln(k + 1.0)
+    buf -= mus[:, None]
+    buf[:, :1] = -mus[:, None]
+    return np.exp(buf, out=buf).mean(axis=0)
+
+
+def _block_rows(k_max):
+    return detection._BLOCK_BYTES // (8 * (k_max + 1))
+
+
 class TestPoissonMixture:
     def test_single_component_is_plain_poisson(self):
         pmf = poisson_mixture_pmf(np.array([7.0]), 40)
@@ -41,6 +61,39 @@ class TestPoissonMixture:
         assert np.max(np.abs(pmf - ref)) <= 1e-15
         big = ref > 1e-300
         assert np.max(np.abs(pmf[big] - ref[big]) / ref[big]) <= 1e-11
+
+    def test_log_factorial_table_is_scipy_gammaln(self, monkeypatch):
+        from scipy.special import gammaln
+
+        # from an empty table, and grown from a short one
+        monkeypatch.setattr(detection, "_log_factorial_table", np.zeros(0))
+        ref = gammaln(np.arange(100_000) + 1.0)
+        assert np.array_equal(detection._log_factorials(50), ref[:50])
+        table = detection._log_factorials(ref.size)
+        assert np.array_equal(table, ref)
+        assert not table.flags.writeable
+        # a shorter window reads a prefix of the table it has
+        assert np.shares_memory(detection._log_factorials(10), table)
+
+    @pytest.mark.parametrize(
+        "k_max, size",
+        [(k_max, size)
+         for k_max in (8, 546, 1500)
+         for size in sorted({1, _block_rows(k_max) - 1, _block_rows(k_max),
+                             _block_rows(k_max) + 1, 2000})]
+        # one column is never split: its sum over rows is pairwise
+        + [(0, 1), (0, 2000), (0, _block_rows(0) + 1),
+           (0, 2 * _block_rows(0) + 1)],
+    )
+    def test_blocks_match_one_buffer_bit_for_bit(self, k_max, size):
+        # a different order of the sums differs in the last bit for about
+        # half of the draws, so each case takes several
+        for seed in range(4):
+            rng = np.random.default_rng([k_max, size, seed])
+            mus = rng.uniform(0.0, 1.2 * k_max + 1.0, size)
+            mus[::3] = 0.0
+            got = poisson_mixture_pmf(mus, k_max)
+            assert np.array_equal(got, _one_buffer_pmf(mus, k_max)), seed
 
     def test_zero_mean_is_exact_delta(self):
         with warnings.catch_warnings():
