@@ -26,6 +26,7 @@ from .errors import ConfigError
 from .interaction import InteractionParams, effective_c6
 from .presets import load_pair_system
 from .propagation import PropagationParams
+from .spinwave import retrieval_work_bytes
 from .units import C_LIGHT, from_mhz, to_mhz
 
 SCAN_TYPES = ("starkmap", "gain-scan", "fidelity-scan", "retrieval", "oracle-check")
@@ -36,6 +37,17 @@ SCHEMA_VERSION = 1
 # samples x (k_max + 1) count cells, one exp each, counted as the bytes
 # they would take as float64.
 _MAX_MIXTURE_CELL_BYTES = 2**30
+
+# Bound on the complex fields x samples amplitude table that the one
+# `transmission_batch` call of a gain or fidelity scan returns.
+_MAX_TRANSPORT_TABLE_BYTES = 2**30
+
+# Bound on the retrieval scan's work arrays (`spinwave.retrieval_work_bytes`).
+_MAX_RETRIEVAL_WORK_BYTES = 2**30
+
+# Most points of a field grid: the Stark map writes a row per field and
+# channel, and every scan echoes the grid into summary.json.
+_MAX_FIELD_POINTS = 2**16
 
 # Upper end of the Stark range searched for resonances (V/cm).
 _FIELD_MAX = 2.0
@@ -153,6 +165,13 @@ def _validate(values: dict) -> None:
     ):
         if values[name] < 0:
             raise ConfigError(f"{name} must be >= 0, got {values[name]}")
+    # a negative seed cannot seed numpy's generator; a size beyond int64
+    # cannot be allocated, and converting it to float can overflow
+    if values["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {values['seed']}")
+    for name in sorted(_INT_KEYS - {"seed"}):
+        if values[name] >= 2**63:
+            raise ConfigError(f"{name} must be < 2**63, got {values[name]}")
     # one sample has no standard error: the gain error bar would read 0
     if values["samples"] < 2:
         raise ConfigError(f"samples must be >= 2, got {values['samples']}")
@@ -160,6 +179,11 @@ def _validate(values: dict) -> None:
         raise ConfigError("oracle_sets must be >= 1")
     # a field grid holds dc field magnitudes
     fields = np.asarray(values["field_grid"], dtype=float)
+    if fields.size > _MAX_FIELD_POINTS:
+        raise ConfigError(
+            f"field_grid has {fields.size} points, above the limit of "
+            f"{_MAX_FIELD_POINTS}"
+        )
     if not np.all(np.isfinite(fields) & (fields >= 0)):
         raise ConfigError("field_grid entries must be finite and >= 0")
     if np.any(np.diff(fields) < 0):
@@ -201,8 +225,19 @@ def _validate(values: dict) -> None:
         raise ConfigError(
             f"retrieval_offsets must be >= 1, got {values['retrieval_offsets']}"
         )
+    work_bytes = retrieval_work_bytes(values["spinwave_points"],
+                                      values["retrieval_offsets"])
+    if work_bytes > _MAX_RETRIEVAL_WORK_BYTES:
+        raise ConfigError(
+            f"retrieval work arrays take {work_bytes / 2**30:.3g} GiB, above the "
+            f"{_MAX_RETRIEVAL_WORK_BYTES / 2**30:g} GiB limit; lower "
+            "spinwave_points or retrieval_offsets"
+        )
     if len(values["source_means"]) == 0:
         raise ConfigError("source_means must not be empty")
+    # a mean sets a Poisson photon number; NaN also slips past min()
+    if not all(map(math.isfinite, values["source_means"])):
+        raise ConfigError("source_means must all be finite")
     if min(values["source_means"]) < 0:
         raise ConfigError("source_means must all be >= 0")
 
@@ -263,9 +298,13 @@ def load_config(
             if not math.isfinite(shorthand[key]):
                 raise ConfigError(f"{key} must be finite, got {shorthand[key]}")
         points = shorthand["field_points"]
-        # an empty grid would fall back to the default one
-        if not (points.is_integer() and points >= 1):
-            raise ConfigError(f"field_points must be an integer >= 1, got {points}")
+        # an empty grid would fall back to the default one; the upper bound
+        # is checked before the grid is built
+        if not (points.is_integer() and 1 <= points <= _MAX_FIELD_POINTS):
+            raise ConfigError(
+                f"field_points must be an integer >= 1 and <= "
+                f"{_MAX_FIELD_POINTS}, got {points}"
+            )
         values["field_grid"] = list(
             np.linspace(shorthand["field_start"], shorthand["field_stop"], int(points))
         )
@@ -402,7 +441,7 @@ def build_setup(config: RunConfig) -> SimulationSetup:
         detector_efficiency=config.detector_efficiency,
         dephasing_per_photon=config.dephasing_per_photon,
     )
-    return SimulationSetup(
+    setup = SimulationSetup(
         pair=pair,
         geometry=geometry,
         params=params,
@@ -410,3 +449,16 @@ def build_setup(config: RunConfig) -> SimulationSetup:
         stats=stats,
         config=config,
     )
+    # the gain and fidelity scans hold every field's complex amplitudes
+    # for every sample in one table
+    if config.scan in ("gain-scan", "fidelity-scan"):
+        n_fields = len(config.field_grid) or setup.default_field_grid().size
+        table_bytes = 16 * n_fields * config.samples
+        if table_bytes > _MAX_TRANSPORT_TABLE_BYTES:
+            raise ConfigError(
+                f"{config.scan} transport table of {n_fields} fields x "
+                f"{config.samples} samples takes {table_bytes / 2**30:.3g} GiB, "
+                f"above the {_MAX_TRANSPORT_TABLE_BYTES / 2**30:g} GiB limit; "
+                "lower samples or the field grid's points"
+            )
+    return setup

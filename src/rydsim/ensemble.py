@@ -124,12 +124,26 @@ def sample_intensities(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample intensities `(i0, table)` of one seeded geometry draw:
     gate-free `i0` (n,) in closed form, and the gated `table`, (n,) for a
-    scalar field or (n_fields, n) for a field grid, in one call."""
+    scalar field or (n_fields, n) for a field grid, in one call.
+
+    The table is min(|t|^2, 1) of the `transmission_batch` amplitudes,
+    written over the front half of each row of their buffer: a view with
+    rows 2n floats apart, so a scan holds one fields x samples table."""
     samples = sample_geometry(geometry, n_samples, np.random.default_rng(seed))
     i0 = eit_baseline(params, samples.density_scales).intensity
     amps = transmission_batch(samples.offsets, samples.gates, params, interaction,
                               field, density_scale=samples.density_scales)
-    return i0, np.minimum(np.abs(amps) ** 2, 1.0)
+    rows = amps.reshape(-1, amps.shape[-1])
+    table = rows.view(float)[:, : rows.shape[1]]
+    # |t| goes through a separate row buffer: numpy evaluates an abs whose
+    # output overlaps its input in a scalar loop that can differ from its
+    # vector loop in the last bit
+    row = np.empty(rows.shape[1])
+    for amp, out in zip(rows, table):
+        out[...] = np.abs(amp, out=row)
+    np.square(table, out=table)
+    np.minimum(table, 1.0, out=table)
+    return i0, table.reshape(amps.shape)
 
 
 def optical_gain(t0: float, t1: float, stats: PhotonStats) -> float:

@@ -424,7 +424,9 @@ def transmission_batch(
     pass in two reused block-sized buffers and two row reductions.  Rows
     are independent, so the amplitudes are those of an unblocked loop, and
     the memory a call uses grows with its rows only through its inputs and
-    its (n_fields, n) results.
+    its (n_fields, n) results: the blockade integrals are finished into
+    amplitudes in that one complex table, by the ufuncs and operand order
+    of `eit * exp(1j * blockade / c)`, so the bits are the same.
     """
     offsets = np.asarray(offsets, dtype=float)
     n = offsets.shape[0]
@@ -452,7 +454,10 @@ def transmission_batch(
         block = slice(lo, min(lo + rows, n))
         _blockade_rows(params, field_a, gate_z[block], t_dist_sq[block],
                        scale[block], q, v, blockade[:, block])
-    amps = eit_baseline(params, scale).amplitude * np.exp(1j * blockade / params.c)
+    amps = np.multiply(1j, blockade, out=blockade)
+    np.divide(amps, params.c, out=amps)
+    np.exp(amps, out=amps)
+    np.multiply(eit_baseline(params, scale).amplitude, amps, out=amps)
     return amps if fields.ndim else amps[0]
 
 

@@ -39,6 +39,12 @@ _SPAN_FACTOR = 2.0
 # Source paths per `photon_channel` call in `transverse_channels`.
 _PATH_BLOCK = 3
 
+# n x n complex arrays a retrieval scan holds at its peak beside the
+# channel block: the stored state, the group sums and decoherence matrices
+# with the real products behind them, and the overlap's upper triangle
+# (8.5 by tracemalloc at 201 to 601 grid points).
+_RETRIEVAL_GRID_ARRAYS = 9
+
 
 @dataclass(frozen=True)
 class SpinWaveState:
@@ -381,6 +387,15 @@ def transverse_channels(
             del ch, d  # freed before the next block is built
         overlap[..., i, :] = poisson_overlap(state, group, source_means)
     return overlap, excess.mean(axis=-1)
+
+
+def retrieval_work_bytes(n_points: int, n_offsets: int) -> int:
+    """Bytes of the largest arrays a retrieval scan holds: the n x n
+    channel block of `transverse_channels` and the arrays beside it, for
+    the scan's two fields, and its (2, n_offsets, n_offsets) scatter
+    excess.  Exact in integers, so it serves as a bound at any size."""
+    grid_arrays = 2 * min(_PATH_BLOCK, n_offsets) + _RETRIEVAL_GRID_ARRAYS
+    return 16 * grid_arrays * n_points**2 + 16 * n_offsets**2
 
 
 def limit_curves(

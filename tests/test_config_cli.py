@@ -82,6 +82,24 @@ class TestLoadConfig:
         })
         assert cfg.field_grid == pytest.approx([0.6, 0.65, 0.7, 0.75, 0.8])
 
+    def test_size_bounds_admit_their_limits(self):
+        # each set-up is built at its limit and one past it, and never run
+        load_config(None, "starkmap", {"field_start": 0.0, "field_stop": 1.0,
+                                       "field_points": 65536})
+        build_setup(load_config(None, "retrieval", {"spinwave_points": 2115}))
+        with pytest.raises(ConfigError, match="retrieval work arrays"):
+            load_config(None, "retrieval", {"spinwave_points": 2116})
+        samples = 2**30 // (16 * 126)  # the default 66S/64S grid
+        for scan in ("gain-scan", "fidelity-scan"):
+            overrides = {"pair_system": "rb87_66s64s", "rate_grid": [0.0]}
+            build_setup(load_config(None, scan, {**overrides, "samples": samples}))
+            with pytest.raises(ConfigError, match="transport table of 126 fields"):
+                build_setup(load_config(None, scan,
+                                        {**overrides, "samples": samples + 1}))
+        # other scans hold no transport table
+        build_setup(load_config(None, "retrieval", {"samples": 10**7,
+                                                    "rate_grid": [0.0]}))
+
     def test_incomplete_shorthand_rejected(self):
         with pytest.raises(ConfigError, match="incomplete"):
             load_config(None, "gain-scan", {"field_start": 0.6})
@@ -340,6 +358,36 @@ class TestCli:
              "cloud_half_length = 1e+300 um is too large"),
             ("retrieval", ["--set", "omega_rabi_mhz=1e-300"],
              "omega_rabi = 6.28319e-300 rad/us is too small"),
+            ("gain-scan", [*_SHORTHAND, "--set", "field_points=1e30"],
+             "field_points must be an integer >= 1 and <= 65536, got 1e+30"),
+            ("starkmap", [*_SHORTHAND, "--set", "field_points=65537"],
+             "field_points must be an integer >= 1 and <= 65536"),
+            ("starkmap", ["--set", "field_grid=" + ",".join(["0.7"] * 65537)],
+             "field_grid has 65537 points, above the limit of 65536"),
+            # the mixture bound passes 10^7 samples at rate 0; the default
+            # 101-field grid's amplitudes would take 16 GB
+            ("gain-scan", ["--samples", "10000000", "--set", "rate_grid=0"],
+             "gain-scan transport table of 101 fields x 10000000 samples "
+             "takes 15.1 GiB, above the 1 GiB limit"),
+            ("fidelity-scan", [*_SHORTHAND, "--set", "field_points=65536"],
+             "fidelity-scan transport table of 65536 fields x 2000 samples"),
+            ("gain-scan", ["--set", "pair_system=rb87_66s64s", "--samples", "600000",
+                           "--set", "rate_grid=0"],
+             "transport table of 126 fields x 600000 samples"),
+            ("retrieval", ["--set", "spinwave_points=2116"],
+             "retrieval work arrays take 1 GiB, above the 1 GiB limit"),
+            ("retrieval", ["--set", "spinwave_points=1000000000"],
+             "retrieval work arrays take"),
+            ("retrieval", ["--set", "retrieval_offsets=9000"],
+             "retrieval work arrays take"),
+            ("gain-scan", ["--seed", "-1", "--set", "field_grid=0.71"],
+             "seed must be >= 0, got -1"),
+            ("gain-scan", ["--set", "samples=" + "1" + "0" * 400],
+             "samples must be < 2**63"),
+            ("retrieval", ["--set", "source_means=0,inf"],
+             "source_means must all be finite"),
+            ("retrieval", ["--set", "source_means=0,nan"],
+             "source_means must all be finite"),
         ],
     )
     def test_bad_scan_input_exits_with_config_code(self, tmp_path, scan, args,

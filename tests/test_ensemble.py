@@ -1,10 +1,13 @@
 """Geometry averaging, optical gain and the non-destructive rate limit."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rydsim import propagation
+from rydsim.config import build_setup, load_config
 from rydsim.ensemble import (
     ExperimentGeometry,
     PhotonStats,
@@ -16,6 +19,7 @@ from rydsim.ensemble import (
     sample_geometry,
     sample_intensities,
 )
+from rydsim.propagation import eit_baseline, transmission_batch
 
 
 def _stats(**kwargs):
@@ -108,6 +112,48 @@ class TestFieldScan:
         assert i0.shape == i1.shape == (300,)
         assert points[1].t0 == pytest.approx(np.mean(i0), abs=1e-12)
         assert points[1].t1 == pytest.approx(np.mean(i1), abs=1e-12)
+
+    @pytest.mark.parametrize("fields", [0.71, [0.69, 0.70, 0.71, 0.72]])
+    def test_table_is_clipped_squared_magnitude_bit_for_bit(self, setup, fields):
+        i0, table = sample_intensities(setup.geometry, setup.params,
+                                       setup.interaction, fields, 500, seed=3)
+        s = sample_geometry(setup.geometry, 500, np.random.default_rng(3))
+        amps = transmission_batch(s.offsets, s.gates, setup.params,
+                                  setup.interaction, fields,
+                                  density_scale=s.density_scales)
+        ref = np.minimum(np.abs(amps) ** 2, 1.0)
+        assert table.shape == ref.shape == np.shape(fields) + (500,)
+        assert np.ascontiguousarray(table).tobytes() == ref.tobytes()
+        closed_form = eit_baseline(setup.params, s.density_scales).intensity
+        assert i0.tobytes() == closed_form.tobytes()
+
+    def test_intensities_overwrite_the_amplitude_table(self):
+        # the default 66S/64S scan: the intensity table is written over the
+        # amplitudes, so the call holds no float table beside them
+        setup = build_setup(load_config(None, "gain-scan",
+                                        {"pair_system": "rb87_66s64s"}))
+        fields = setup.default_field_grid()
+        s = sample_geometry(setup.geometry, 2000, np.random.default_rng(5))
+        peaks = []
+        for call in (
+            lambda: transmission_batch(s.offsets, s.gates, setup.params,
+                                       setup.interaction, fields,
+                                       density_scale=s.density_scales),
+            lambda: sample_intensities(setup.geometry, setup.params,
+                                       setup.interaction, fields, 2000, seed=5),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        amplitudes = 16 * fields.size * 2000
+        floats = amplitudes // 2
+        block = propagation._BLOCK_CELLS * 8  # one float block buffer
+        assert fields.size == 126
+        assert peaks[1] <= 1.1 * amplitudes + 6 * block + floats
+        assert peaks[1] <= peaks[0] + floats / 4
 
     def test_rejects_unsorted_grid(self, setup):
         with pytest.raises(ValueError):

@@ -341,6 +341,46 @@ class TestBlockadeKernel:
             tracemalloc.stop()
         assert peak < 5 * table
 
+    def test_batch_finishes_amplitudes_in_its_output(self, rng):
+        # the default 66S/64S scan: 126 fields x 2000 rows; past the block
+        # buffers, the call holds its complex result table and no copy of it
+        setup = build_setup(load_config(None, "gain-scan",
+                                        {"pair_system": "rb87_66s64s"}))
+        fields = setup.default_field_grid()
+        offsets, gates, scales = _samples(rng, 2000)
+        block = propagation._BLOCK_CELLS * 8  # one float block buffer
+        tracemalloc.start()
+        try:
+            amps = transmission_batch(offsets, gates, setup.params, setup.interaction,
+                                      field=fields, density_scale=scales)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert amps.shape == (126, 2000)
+        assert peak <= 1.1 * amps.nbytes + 6 * block
+
+    def test_batch_amplitudes_are_the_one_expression_bit_for_bit(
+            self, setup, rng, monkeypatch):
+        # the in-place finish against eit * exp(1j * blockade / c) on the
+        # blockade integrals the row blocks wrote
+        fields = np.linspace(0.69, 0.73, 7)
+        offsets, gates, scales = _samples(rng, 500)
+        written = []
+        original = propagation._blockade_rows
+
+        def record(params, field_a, gate_z, t_dist_sq, scale, q, v, out):
+            original(params, field_a, gate_z, t_dist_sq, scale, q, v, out)
+            written.append(out.copy())
+
+        monkeypatch.setattr(propagation, "_blockade_rows", record)
+        amps = transmission_batch(offsets, gates, setup.params, setup.interaction,
+                                  field=fields, density_scale=scales)
+        assert len(written) > 1  # several row blocks
+        blockade = np.concatenate(written, axis=1)
+        ref = (eit_baseline(setup.params, scales).amplitude
+               * np.exp(1j * blockade / setup.params.c))
+        assert amps.tobytes() == ref.tobytes()
+
 
 def test_time_domain_oracle_agrees_with_frequency_solver():
     # unit-rescaled slow-light parameters keep the time stepping affordable

@@ -1,5 +1,6 @@
-"""Property test of the three transport solvers on random oracle sets."""
+"""Property tests of the transport solvers on random oracle sets."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -67,3 +68,24 @@ def test_steady_state_graded_grid_and_quadrature_agree(case):
     # the criterion-3 bound, and the bound of TestBatchSolver
     assert abs(steady.intensity - ref.intensity) <= 0.01
     assert abs(batch[0] - ref.amplitude) <= 2e-3
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_oracle_sets(), data=st.data())
+def test_batch_is_passive(case, data):
+    # off-axis paths and gates, Stark-tuned channels and a field grid:
+    # |t| <= 1, up to the roundoff of exp's cos and sin
+    params, inter, _ = case
+    channels = [dataclasses.replace(ch, diff_polarizability=data.draw(
+        st.floats(-50.0, 50.0))) for ch in inter.channels]
+    inter = dataclasses.replace(inter, channels=channels)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = 40
+    span = params.z_extent
+    gates = np.column_stack([rng.normal(0.0, 4.0, size=(n, 2)),
+                             rng.uniform(-span, span, size=n)])
+    fields = np.sort(rng.uniform(0.0, 1.5, size=4))
+    amps = transmission_batch(rng.normal(0.0, 4.0, size=(n, 2)), gates, params,
+                              inter, fields, density_scale=rng.uniform(0.0, 1.0, n))
+    assert amps.shape == (4, n)
+    assert np.all(np.abs(amps) <= 1.0 + 4 * np.finfo(float).eps)
