@@ -19,13 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-from .atomic_states import PairConfig, channel_set, resonance_fields
+from .atomic_states import PairConfig, channel_set, forster_defect, resonance_fields
 from .detection import count_window
 from .ensemble import ExperimentGeometry, PhotonStats
 from .errors import ConfigError
 from .interaction import InteractionParams, effective_c6
 from .presets import load_pair_system
-from .propagation import PropagationParams
+from .propagation import R_MIN, PropagationParams
 from .spinwave import retrieval_work_bytes
 from .units import C_LIGHT, from_mhz, to_mhz
 
@@ -386,10 +386,19 @@ def build_setup(config: RunConfig) -> SimulationSetup:
             f"cloud_half_length = {geometry.cloud_half_length:g} um is too "
             f"large: the square of its {span:g} um integration span overflows"
         )
+    # the blockade kernel squares Im a - beta, beta = gamma/d^6 with d
+    # clamped at R_MIN
+    gamma = from_mhz(config.gamma_mhz)
+    beta_max = gamma / R_MIN**6
+    if not math.isfinite(beta_max * beta_max):
+        raise ConfigError(
+            f"gamma = {gamma:g} rad/us is too large: the blockade term's "
+            f"gamma/R_MIN^6 = {beta_max:g} overflows when squared"
+        )
     params = PropagationParams(
         g=g_peak,
         omega_rabi=omega_rabi,
-        gamma=from_mhz(config.gamma_mhz),
+        gamma=gamma,
         gamma_s=from_mhz(config.gamma_s_mhz),
         omega=from_mhz(config.omega_mhz),
         c=config.speed_of_light,
@@ -411,14 +420,24 @@ def build_setup(config: RunConfig) -> SimulationSetup:
         )
     interaction = InteractionParams(gamma_p=extras["gamma_p"], channels=channels)
     # the blockade kernel squares a = Omega^2/C6, which grows with the
-    # detuning; far detuned, C6 ~ -sum c3^2/omega at every field
-    c6 = effective_c6(params.omega, 0.0, interaction)
-    a = float(abs(omega_rabi**2 / c6)) if c6 != 0.0 else 0.0
-    if not math.isfinite(a * a):
-        raise ConfigError(
-            f"omega = {params.omega:g} rad/us is too large: the blockade "
-            f"term's |Omega^2/C6| = {a:g} overflows when squared"
-        )
+    # detuning (far detuned, C6 ~ -sum c3^2/omega at every field); it is
+    # checked at zero field and at each field of an explicit grid, whose
+    # Förster defects square the field
+    fields = np.array([0.0, *config.field_grid])
+    with np.errstate(all="ignore"):
+        c6 = np.broadcast_to(effective_c6(params.omega, fields, interaction), fields.shape)
+        a = np.abs(omega_rabi**2 / np.where(c6 != 0.0, c6, np.inf))  # 0 where C6 = 0
+        defects = [forster_defect(ch, fields) for ch in pair.channels]
+    for k, (field, a_k, *defect) in enumerate(zip(fields.tolist(), a.tolist(), *defects)):
+        if not all(map(math.isfinite, defect)):
+            raise ConfigError(
+                f"a channel's Förster defect at {field:g} V/cm is not finite"
+            )
+        if not math.isfinite(a_k * a_k):
+            cause = (f"omega = {params.omega:g} rad/us" if k == 0
+                     else f"field_grid entry {field:g} V/cm")
+            raise ConfigError(f"{cause} is too large: the blockade term's "
+                              f"|Omega^2/C6| = {a_k:g} overflows when squared")
     # Omega^2 divides the EIT term of chi, g^2 (omega + i gamma_s) / Omega^2.
     # The scans sum that term over the cloud, where it must stay finite, and
     # numpy divides by Omega^2 through its reciprocal, which must too; the

@@ -16,7 +16,6 @@ bit, so this module needs numpy alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -159,14 +158,6 @@ def poisson_mixture_pmf(mus: np.ndarray, k_max: int) -> np.ndarray:
     return total / mus.size
 
 
-@dataclass(frozen=True)
-class FidelityPoint:
-    field: float
-    rate: float
-    fidelity: float
-    threshold: int
-
-
 def fidelity_scan(
     config: PairConfig,
     geometry: ExperimentGeometry,
@@ -177,8 +168,11 @@ def fidelity_scan(
     stats: PhotonStats,
     n_samples: int,
     seed: int,
-) -> list:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Detection fidelity over a (field, rate) grid.
+
+    Returns `(fidelity, threshold)`, each of shape (rates, fields): the
+    smoothed fidelity and the best count threshold of each grid point.
 
     The per-shot count distributions are position-resolved Poisson
     mixtures built from the Monte Carlo transmission samples: the spread
@@ -196,9 +190,8 @@ def fidelity_scan(
     i0, table = sample_intensities(geometry, params, interaction, fields,
                                    n_samples, seed)
     eta = stats.detector_efficiency
-    results = []
-    fid_grid = np.empty((rates.size, fields.size))
-    thr_grid = np.empty((rates.size, fields.size), dtype=int)
+    fidelity = np.empty((rates.size, fields.size))
+    threshold = np.empty((rates.size, fields.size), dtype=int)
     for kr, rate in enumerate(rates):
         scale = eta * rate * stats.pulse_length
         mu0s = scale * i0
@@ -211,18 +204,7 @@ def fidelity_scan(
         pmf_absent = poisson_mixture_pmf(mu0s, k_max)
         for kf, i1 in enumerate(table):
             pmf_present = poisson_mixture_pmf(scale * i1, k_max)
-            f, tau = detection_fidelity(pmf_present, pmf_absent)
-            fid_grid[kr, kf] = f
-            thr_grid[kr, kf] = tau
-    for kr, rate in enumerate(rates):
-        smooth = boxcar_convolve(fields, fid_grid[kr])
-        for kf, field in enumerate(fields):
-            results.append(
-                FidelityPoint(
-                    field=float(field),
-                    rate=float(rate),
-                    fidelity=float(smooth[kf]),
-                    threshold=int(thr_grid[kr, kf]),
-                )
-            )
-    return results
+            fidelity[kr, kf], threshold[kr, kf] = detection_fidelity(
+                pmf_present, pmf_absent)
+        fidelity[kr] = boxcar_convolve(fields, fidelity[kr])
+    return fidelity, threshold

@@ -171,15 +171,6 @@ def boxcar_convolve(
     return out
 
 
-@dataclass(frozen=True)
-class ScanPoint:
-    field: float
-    gain: float
-    gain_err: float
-    t0: float
-    t1: float
-
-
 def field_scan(
     config: PairConfig,
     geometry: ExperimentGeometry,
@@ -189,14 +180,17 @@ def field_scan(
     stats: PhotonStats,
     n_samples: int,
     seed: int,
-) -> list:
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """Gain versus electric field, convolved with the field-resolution boxcar.
 
-    One geometry sample set is drawn up front and reused at every field
-    (common random numbers), so the scan is smooth in the field and
-    bit-reproducible for a fixed seed.  The transport geometry is built
-    once per scan: one `transmission_batch` call gives the whole
-    (fields x samples) intensity table.
+    Returns `(gain, gain_err, t0, t1)`: per field, the smoothed gain, the
+    standard error of the unsmoothed gain and the gated transmission t1,
+    with the scan's one gate-free transmission t0.  One geometry sample
+    set is drawn up front and reused at every field (common random
+    numbers), so the scan is smooth in the field and bit-reproducible for
+    a fixed seed.  The transport geometry is built once per scan: one
+    `transmission_batch` call gives the whole (fields x samples)
+    intensity table.
     """
     fields = np.asarray(fields, dtype=float)
     if np.any(np.diff(fields) < 0):
@@ -204,21 +198,15 @@ def field_scan(
     i0, table = sample_intensities(geometry, params, interaction, fields,
                                    n_samples, seed)
     t0 = float(np.mean(i0))
-    gains = np.empty(fields.size)
-    errs = np.empty(fields.size)
-    t1s = np.empty(fields.size)
-    n = i0.size
+    gain = np.empty(fields.size)
+    gain_err = np.empty(fields.size)
+    t1 = np.empty(fields.size)
     for k, i1 in enumerate(table):
-        t1 = float(np.mean(i1))
-        t1s[k] = t1
-        gains[k] = optical_gain(t0, min(t1, t0), stats)
-        diff_err = np.std(i0 - i1, ddof=1) / math.sqrt(n)
-        errs[k] = optical_gain(t0, t0 - diff_err, stats) if diff_err < t0 else 0.0
-    smooth = boxcar_convolve(fields, gains)
-    return [
-        ScanPoint(float(f), float(g), float(e), t0, float(t1))
-        for f, g, e, t1 in zip(fields, smooth, errs, t1s)
-    ]
+        t1[k] = np.mean(i1)
+        gain[k] = optical_gain(t0, min(t1[k], t0), stats)
+        diff_err = np.std(i0 - i1, ddof=1) / math.sqrt(i0.size)
+        gain_err[k] = optical_gain(t0, t0 - diff_err, stats) if diff_err < t0 else 0.0
+    return boxcar_convolve(fields, gain), gain_err, t0, t1
 
 
 def local_maxima(values: Sequence[float]) -> list:

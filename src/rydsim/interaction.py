@@ -40,7 +40,8 @@ def effective_c6(omega: float, field: float, params: InteractionParams) -> compl
     """Complex prefactor of V_ef: sum_alpha c3_alpha^2/(defect - omega - i*gamma_p).
 
     V_ef = effective_c6 / d^6 at gate-source distance d; the transport
-    solvers in `propagation` apply it with d clamped at R_MIN.  The
+    solvers in `propagation` apply it with d clamped at R_MIN.  An array
+    of fields gives an array of prefactors.  The
     imaginary part is non-negative for gamma_p > 0 (dissipative
     convention: positive imaginary susceptibility absorbs).
     """

@@ -85,58 +85,58 @@ def run_starkmap(setup: SimulationSetup, out_dir: Path) -> dict:
 
 def run_gain_scan(setup: SimulationSetup, out_dir: Path) -> dict:
     fields = _field_grid(setup)
-    points = ensemble.field_scan(
+    gain, gain_err, t0, t1 = ensemble.field_scan(
         setup.pair, setup.geometry, setup.params, setup.interaction,
         fields, setup.stats, n_samples=setup.config.samples,
         seed=setup.config.seed,
     )
-    rows = [[p.field, p.gain, p.gain_err, p.t0, p.t1] for p in points]
-    bad = [row for row in rows if not all(map(math.isfinite, row[1:]))]
-    if bad:
+    table = np.column_stack([fields, gain, gain_err, np.full_like(fields, t0), t1])
+    bad = np.flatnonzero(~np.isfinite(table[:, 1:]).all(axis=1))
+    if bad.size:
         raise NumericsError(
-            f"{len(bad)} non-finite gain points, first at field "
-            f"{bad[0][0]:.6g} V/cm"
+            f"{bad.size} non-finite gain points, first at field "
+            f"{fields[bad[0]]:.6g} V/cm"
         )
     _write_csv(out_dir / "gain_scan.csv",
-               ["field_v_cm", "gain", "gain_err", "t0", "t1"], rows)
-    gains = np.array([p.gain for p in points])
-    peak = int(np.argmax(gains))
-    maxima = ensemble.local_maxima(gains)
+               ["field_v_cm", "gain", "gain_err", "t0", "t1"], table.tolist())
+    peak = int(np.argmax(gain))
+    maxima = ensemble.local_maxima(gain)
     limit = ensemble.nondestructive_limit(
-        setup.stats, points[peak].t0, points[peak].t1,
-        rate_ceiling=setup.config.rate_ceiling,
+        setup.stats, t0, float(t1[peak]), rate_ceiling=setup.config.rate_ceiling,
     )
     return {
-        "peak_gain": float(gains[peak]),
-        "peak_field_v_cm": float(points[peak].field),
+        "peak_gain": float(gain[peak]),
+        "peak_field_v_cm": float(fields[peak]),
         "n_local_maxima": len(maxima),
-        "local_maxima_fields_v_cm": [float(points[i].field) for i in maxima],
+        "local_maxima_fields_v_cm": fields[maxima].tolist(),
         "nondestructive_rate_limit": float(limit),
     }
 
 
 def run_fidelity_scan(setup: SimulationSetup, out_dir: Path) -> dict:
     fields = _field_grid(setup)
-    rates = list(setup.config.rate_grid)
-    points = detection.fidelity_scan(
+    rates = np.asarray(setup.config.rate_grid, dtype=float)
+    fidelity, threshold = detection.fidelity_scan(
         setup.pair, setup.geometry, setup.params, setup.interaction,
         fields, rates, setup.stats, n_samples=setup.config.samples,
         seed=setup.config.seed,
     )
-    bad = [p for p in points if not math.isfinite(p.fidelity)]
-    if bad:
+    bad = np.argwhere(~np.isfinite(fidelity))
+    if bad.size:
+        kr, kf = bad[0]
         raise NumericsError(
             f"{len(bad)} non-finite fidelities, first at field "
-            f"{bad[0].field:.6g} V/cm, rate {bad[0].rate:.6g} /us"
+            f"{fields[kf]:.6g} V/cm, rate {rates[kr]:.6g} /us"
         )
-    rows = [[p.field, p.rate, p.fidelity, p.threshold] for p in points]
+    rows = zip(np.tile(fields, rates.size).tolist(), np.repeat(rates, fields.size).tolist(),
+               fidelity.ravel().tolist(), threshold.ravel().tolist())
     _write_csv(out_dir / "fidelity_scan.csv",
                ["field_v_cm", "rate_per_us", "fidelity", "threshold"], rows)
-    best = max(points, key=lambda p: p.fidelity)
+    kr, kf = np.unravel_index(np.argmax(fidelity), fidelity.shape)
     return {
-        "peak_fidelity": float(best.fidelity),
-        "peak_fidelity_field_v_cm": float(best.field),
-        "peak_fidelity_rate": float(best.rate),
+        "peak_fidelity": float(fidelity[kr, kf]),
+        "peak_fidelity_field_v_cm": float(fields[kf]),
+        "peak_fidelity_rate": float(rates[kr]),
     }
 
 
@@ -155,16 +155,9 @@ def run_retrieval(setup: SimulationSetup, out_dir: Path) -> dict:
         state, setup.geometry, params, setup.interaction, np.array([field, 0.0]),
         n_offsets=cfg.retrieval_offsets, seed=cfg.seed, source_means=means,
     )
-    all_rows = []
-    for k, variant in enumerate(("model", "model_zero_field")):
-        rows = spinwave.retrieval_efficiency_curve(
-            overlap[k], p_scatter[k], means, eta_base,
-        )
-        if variant == "model":
-            model_rows, model_p_scatter = rows, float(p_scatter[k].mean())
-        for r in rows:
-            all_rows.append([r.n_in_mean, r.n_scattered_mean, r.efficiency,
-                             variant])
+    ns, eff = spinwave.retrieval_efficiency_curve(overlap[0], p_scatter[0], means, eta_base)
+    ns_zero, eff_zero = spinwave.retrieval_efficiency_curve(
+        overlap[1], p_scatter[1], means, eta_base)
     # zero-field van der Waals coefficient of the kept channels
     c6_ref = abs(effective_c6(
         0.0, 0.0, dataclasses.replace(setup.interaction, gamma_p=0.0)))
@@ -172,15 +165,25 @@ def run_retrieval(setup: SimulationSetup, out_dir: Path) -> dict:
         max(c6_ref, 1e-12), setup.params.gamma, setup.params.omega_rabi,
     )
     frac = spinwave.blockade_beam_fraction(r_b, setup.geometry.beam_waist)
-    for r in spinwave.limit_curves(means, model_p_scatter, eta_base, frac):
-        all_rows.append([r.n_in_mean, r.n_scattered_mean, r.efficiency,
-                         r.model_variant])
+    model_p_scatter = float(p_scatter[0].mean())
+    limits = spinwave.limit_curves(means, model_p_scatter, eta_base, frac)
+    # the two model curves one after the other, then the limit curves
+    # interleaved by source mean
+    m = means.size
+    mean_col = np.concatenate([means, means, np.repeat(means, len(limits))])
+    ns_col = np.concatenate([ns, ns_zero, np.repeat(means * model_p_scatter, len(limits))])
+    eff_col = np.concatenate([eff, eff_zero, np.column_stack(list(limits.values())).ravel()])
+    variants = ["model"] * m + ["model_zero_field"] * m + list(limits) * m
+    bad = np.flatnonzero(~(np.isfinite(ns_col) & np.isfinite(eff_col)))
+    if bad.size:
+        raise NumericsError(
+            f"{bad.size} non-finite retrieval points, first at source mean "
+            f"{mean_col[bad[0]]:.6g}, variant {variants[bad[0]]}"
+        )
     _write_csv(out_dir / "retrieval.csv",
                ["n_in_mean", "n_scattered_mean", "efficiency", "model_variant"],
-               all_rows)
-    # retrieval at one scattered photon, interpolated on the model curve
-    ns = np.array([r.n_scattered_mean for r in model_rows])
-    eff = np.array([r.efficiency for r in model_rows])
+               zip(mean_col.tolist(), ns_col.tolist(), eff_col.tolist(), variants))
+    # retrieval at one scattered photon, interpolated on the model curve;
     # null, not NaN, when the curve never reaches one scattered photon:
     # a bare NaN is not valid JSON
     at_one = float(np.interp(1.0, ns, eff)) if ns.max() >= 1.0 else None

@@ -244,14 +244,6 @@ def uhlmann_fidelity(rho_i: np.ndarray, rho_f: np.ndarray) -> float:
     return float(sing.sum() ** 2)
 
 
-@dataclass(frozen=True)
-class RetrievalPoint:
-    n_in_mean: float
-    n_scattered_mean: float
-    efficiency: float
-    model_variant: str
-
-
 def poisson_overlap(
     state: SpinWaveState,
     decoherence: np.ndarray,
@@ -306,8 +298,11 @@ def retrieval_efficiency_curve(
     p_scatter: np.ndarray,
     source_means: Sequence[float],
     eta_base: float,
-) -> list:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Retrieval efficiency versus mean source photon number.
+
+    Returns `(n_scattered, efficiency)` over `source_means`: the mean
+    number of gate-scattered photons and the retrieval efficiency.
 
     `overlap[i]` is the `poisson_overlap` row of stored-gate offset i and
     `p_scatter[i]` its gate-caused scatter probability (see
@@ -320,10 +315,7 @@ def retrieval_efficiency_curve(
     weight = 1.0 / len(overlap)
     efficiency = eta_base * np.sum(weight * overlap, axis=0)
     n_scattered = np.sum(weight * source_means * p_scatter[:, None], axis=0)
-    return [
-        RetrievalPoint(float(mean), float(n_s), float(eff), "model")
-        for mean, n_s, eff in zip(source_means, n_scattered, efficiency)
-    ]
+    return n_scattered, efficiency
 
 
 def transverse_channels(
@@ -403,21 +395,21 @@ def limit_curves(
     p_scatter: float,
     eta_base: float,
     blockade_fraction: float,
-) -> list:
+) -> dict:
     """The three limiting reference curves of the retrieval decay.
 
+    Returns each variant's efficiencies over `source_means`, keyed by
+    variant; each curve's scattered photon number is mean * p_scatter.
     black: coherence survives only shots with zero scattered photons;
     dashed: destroyed by one of the incident photons;
     dotted: destroyed by one of the photons incident on the blockade
     sphere (fraction `blockade_fraction` of the beam).
     """
-    rows = []
-    for mean in np.asarray(source_means, dtype=float):
-        for variant, rate in (("black", p_scatter), ("dashed", 1.0),
-                              ("dotted", blockade_fraction)):
-            rows.append(RetrievalPoint(float(mean), float(mean * p_scatter),
-                                       float(eta_base * math.exp(-mean * rate)), variant))
-    return rows
+    means = np.asarray(source_means, dtype=float).tolist()
+    # math.exp, as numpy's exp can differ from libm in the last bit
+    return {variant: np.array([eta_base * math.exp(-mean * rate) for mean in means])
+            for variant, rate in (("black", p_scatter), ("dashed", 1.0),
+                                  ("dotted", blockade_fraction))}
 
 
 def blockade_beam_fraction(r_b: float, beam_waist: float) -> float:

@@ -233,7 +233,8 @@ class TestPresets:
                 [0.70, 0.71], setup.stats, n_samples=200, seed=4,
             )
 
-        assert scan(str(path)) == scan("rb87_50s48s")
+        got, want = scan(str(path)), scan("rb87_50s48s")
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 
 class TestCli:
@@ -388,6 +389,26 @@ class TestCli:
              "source_means must all be finite"),
             ("retrieval", ["--set", "source_means=0,nan"],
              "source_means must all be finite"),
+            # gamma/R_MIN^6 and the field's Stark shift are squared
+            ("gain-scan", ["--set", "gamma_mhz=1e300", "--set", "field_grid=0.71"],
+             "gamma = 6.28319e+300 rad/us is too large"),
+            ("fidelity-scan", ["--set", "gamma_mhz=1e300", "--set", "field_grid=0.71"],
+             "gamma = 6.28319e+300 rad/us is too large"),
+            ("retrieval", ["--set", "gamma_mhz=1e300"],
+             "gamma = 6.28319e+300 rad/us is too large"),
+            ("starkmap", [*_SHORTHAND, "--set", "field_stop=1e300",
+                          "--set", "field_points=3"],
+             "a channel's Förster defect at 5e+299 V/cm is not finite"),
+            ("gain-scan", [*_SHORTHAND, "--set", "field_stop=1e300",
+                          "--set", "field_points=3"],
+             "Förster defect at 5e+299 V/cm is not finite"),
+            ("fidelity-scan", [*_SHORTHAND, "--set", "field_stop=1e300",
+                              "--set", "field_points=3"],
+             "Förster defect at 5e+299 V/cm is not finite"),
+            ("fidelity-scan", ["--set", "field_grid=0.71,1e300"],
+             "Förster defect at 1e+300 V/cm is not finite"),
+            ("starkmap", ["--set", "field_grid=0.7,1e150"],
+             "field_grid entry 1e+150 V/cm is too large: the blockade term's"),
         ],
     )
     def test_bad_scan_input_exits_with_config_code(self, tmp_path, scan, args,
@@ -574,4 +595,21 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert "numerical failure:" in result.stderr
         assert "1 non-finite gain points, first at field 0.71" in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_retrieval_exits_with_numerics_code(self, tmp_path):
+        # a huge source mean blows up exp(mu (Re D - 1)) where Re D - 1
+        # rounds above 0
+        runner = CliRunner()
+        with pytest.warns(RuntimeWarning):
+            result = runner.invoke(main, [
+                "retrieval", "--set", "retrieval_offsets=1",
+                "--set", "spinwave_points=11", "--set", "source_means=0,1e30",
+                "--out", str(tmp_path),
+            ])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "numerical failure:" in result.stderr
+        assert ("non-finite retrieval points, first at source mean 1e+30, "
+                "variant model") in result.stderr
         assert list(tmp_path.iterdir()) == []

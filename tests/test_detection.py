@@ -112,19 +112,20 @@ class TestPoissonMixture:
                 fields, rates, setup.stats, n_samples=400, seed=5,
             )
 
-        new = scan()
+        new_fidelity, new_threshold = scan()
         monkeypatch.setattr(
             detection, "poisson_mixture_pmf",
             lambda mus, k_max: sps.poisson.pmf(
                 np.arange(k_max + 1)[None, :], np.asarray(mus)[:, None]
             ).mean(axis=0),
         )
-        ref = scan()
-        assert [p.threshold for p in new] == [p.threshold for p in ref]
-        assert [p.fidelity for p in new] == pytest.approx(
-            [p.fidelity for p in ref], rel=1e-12, abs=0.0
+        ref_fidelity, ref_threshold = scan()
+        assert new_fidelity.shape == new_threshold.shape == (len(rates), fields.size)
+        assert np.array_equal(new_threshold, ref_threshold)
+        assert new_fidelity.ravel().tolist() == pytest.approx(
+            ref_fidelity.ravel().tolist(), rel=1e-12, abs=0.0
         )
-        assert max(p.fidelity for p in new) > 0.5
+        assert new_fidelity.max() > 0.5
 
 
 class TestDetectionFidelity:

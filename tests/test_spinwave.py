@@ -317,7 +317,8 @@ class TestDenseKernels:
             state, setup.geometry, setup.params, setup.interaction,
             setup.resonance_field, n_offsets=3, seed=0, source_means=means,
         )
-        rows = retrieval_efficiency_curve(overlap, p_scatter, means, _ETA_BASE)
+        n_scattered, efficiency = retrieval_efficiency_curve(
+            overlap, p_scatter, means, _ETA_BASE)
         decoherence, _ = _group_matrices(state, setup, setup.resonance_field, 3, 0)
 
         # sum_k Poisson(k; mu) <psi| D^k o rho |psi>, truncated far in the tail
@@ -329,11 +330,12 @@ class TestDenseKernels:
             for k in range(k_max + 1):
                 overlap[ic, k] = np.real(psi @ ((dk * state.rho) @ psi))
                 dk = dk * d
-        for row, mean in zip(rows, means):
+        assert efficiency.shape == n_scattered.shape == means.shape
+        for eff, n_s, mean in zip(efficiency, n_scattered, means):
             pk = stats.poisson.pmf(np.arange(k_max + 1), mean)
             ref = _ETA_BASE * np.mean(overlap @ pk)
-            assert row.efficiency == pytest.approx(ref, rel=1e-12, abs=0.0)
-            assert row.n_scattered_mean == pytest.approx(
+            assert eff == pytest.approx(ref, rel=1e-12, abs=0.0)
+            assert n_s == pytest.approx(
                 mean * np.mean(p_scatter), rel=1e-15, abs=0.0)
 
 
@@ -354,9 +356,8 @@ class TestTriangleForm:
     means = np.array([0.0, 0.25, 1.0, 3.0, 10.0, 30.0, 66.0, 140.0])
 
     def _check(self, state, decoherence):
-        rows = _curve(state, decoherence, np.zeros(len(decoherence)), self.means,
-                      eta_base=_ETA_BASE)
-        got = np.array([r.efficiency for r in rows])
+        _, got = _curve(state, decoherence, np.zeros(len(decoherence)), self.means,
+                        eta_base=_ETA_BASE)
         ref = _full_matrix_efficiency(state, decoherence, self.means, _ETA_BASE)
         assert np.all(ref > 0.0)
         assert np.max(np.abs(got / ref - 1.0)) <= 1e-13
@@ -406,22 +407,21 @@ class TestRetrievalCurve:
     def test_zero_source_efficiency_is_storage_decay_only(self, setup):
         state = stored_spinwave(setup.geometry, n_points=101)
         d = _identity_channel(state.grid).decoherence_matrix
-        rows = _curve(
+        (n_scattered,), (efficiency,) = _curve(
             state, d[None], np.zeros(1), [0.0], eta_base=_ETA_BASE,
         )
-        assert rows[0].efficiency == pytest.approx(_ETA_BASE, rel=1e-9)
-        assert rows[0].n_scattered_mean == 0.0
+        assert efficiency == pytest.approx(_ETA_BASE, rel=1e-9)
+        assert n_scattered == 0.0
 
     def test_monotone_decreasing_in_source_mean(self, setup):
         state = stored_spinwave(setup.geometry, n_points=101)
         ch = photon_channel(state.grid, setup.params, setup.interaction,
                             setup.resonance_field)
         _, _, p_s = apply_channel(state, ch)
-        rows = _curve(
+        _, effs = _curve(
             state, ch.decoherence_matrix[None], np.array([p_s]),
             [0.0, 1.0, 4.0, 16.0, 64.0], eta_base=0.2,
         )
-        effs = [r.efficiency for r in rows]
         assert all(b < a for a, b in zip(effs, effs[1:]))
 
     def test_localizing_limit_collapses_to_scattered_photon_count(self, setup):
@@ -451,13 +451,13 @@ class TestRetrievalCurve:
             # gamma_s = 0 makes the gate-free baseline 1, so every
             # scattered photon counts
             _, _, p_s = apply_channel(state, ch)
-            rows = _curve(
+            n_scattered, efficiency = _curve(
                 state, ch.decoherence_matrix[None], np.array([p_s]), means,
                 eta_base=0.2,
             )
-            base = rows[0].efficiency
-            return [r.efficiency / (base * np.exp(-r.n_scattered_mean)) - 1.0
-                    for r in rows]
+            base = efficiency[0]
+            return [eff / (base * np.exp(-n_s)) - 1.0
+                    for n_s, eff in zip(n_scattered, efficiency)]
 
         narrow = deviations(15.0, 401)
         wide = deviations(60.0, 1201)
@@ -700,18 +700,16 @@ def test_retrieval_csv_matches_the_per_channel_loop(tmp_path, monkeypatch):
 
 class TestLimitCurves:
     def test_three_variants_agree_at_zero_input(self):
-        rows = limit_curves([0.0, 2.0], p_scatter=0.3, eta_base=0.1,
-                            blockade_fraction=0.5)
-        variants = {r.model_variant for r in rows}
-        assert variants == {"black", "dashed", "dotted"}
-        zero = [r for r in rows if r.n_in_mean == 0.0]
-        assert all(r.efficiency == pytest.approx(0.1) for r in zero)
+        curves = limit_curves([0.0, 2.0], p_scatter=0.3, eta_base=0.1,
+                              blockade_fraction=0.5)
+        assert set(curves) == {"black", "dashed", "dotted"}
+        assert all(eff.shape == (2,) for eff in curves.values())
+        assert all(eff[0] == pytest.approx(0.1) for eff in curves.values())
 
     def test_dashed_decays_fastest_for_lossy_beam(self):
-        rows = limit_curves([5.0], p_scatter=0.3, eta_base=0.1,
-                            blockade_fraction=0.5)
-        eff = {r.model_variant: r.efficiency for r in rows}
-        assert eff["dashed"] < eff["dotted"] < eff["black"]
+        eff = limit_curves([5.0], p_scatter=0.3, eta_base=0.1,
+                           blockade_fraction=0.5)
+        assert eff["dashed"][0] < eff["dotted"][0] < eff["black"][0]
 
     def test_blockade_beam_fraction_monotone_and_bounded(self):
         fracs = [blockade_beam_fraction(r, 6.2) for r in (0.0, 2.0, 6.0, 20.0)]
