@@ -226,7 +226,8 @@ def _validate(values: dict) -> None:
             f"retrieval_offsets must be >= 1, got {values['retrieval_offsets']}"
         )
     work_bytes = retrieval_work_bytes(values["spinwave_points"],
-                                      values["retrieval_offsets"])
+                                      values["retrieval_offsets"],
+                                      len(values["source_means"]))
     if work_bytes > _MAX_RETRIEVAL_WORK_BYTES:
         raise ConfigError(
             f"retrieval work arrays take {work_bytes / 2**30:.3g} GiB, above the "

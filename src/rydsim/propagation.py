@@ -24,8 +24,9 @@ a = Omega^2/C is one complex scalar per field; `chi_values` adds that
 term to the EIT term in one complex form, for one V_ef prefactor or a
 grid of them.  `transmission_batch` builds its grid and runs its field
 loop one row block of about 2^15 cells at a time, so the tables a block
-reads stay in cache while every field passes over them; rows are
-independent, so the result does not depend on the blocking.
+reads stay in cache while every field passes over them; adjacent rows
+of a block with equal gate z share its grid, and rows are independent,
+so the result does not depend on the blocking.
 
 Time domain: the same transport is discretised from the four coupled
 amplitudes (photon, intermediate P, source Rydberg S, and the gate-source
@@ -189,7 +190,7 @@ def chi_values(
     z = np.asarray(z, dtype=float)
     g_sq = params.g**2 * density_scale * params.relative_density(z)
     eit = g_sq * ((params.omega + 1j * params.gamma_s) / params.omega_rabi**2)
-    d6 = _clamped_d6(z - gate_z, transverse_dist_sq)
+    d6 = _clamped_d6(np.square(z - gate_z), transverse_dist_sq)
     w, beta = g_sq / d6, params.gamma / d6
     prefs = np.asarray(vef_prefactor, dtype=complex)
     chi = []
@@ -203,9 +204,10 @@ def chi_values(
     return np.stack([np.broadcast_to(c, w.shape) for c in chi]) if prefs.ndim else chi[0]
 
 
-def _clamped_d6(dz, transverse_dist_sq, out=None):
-    """d^6 with d^2 = dz^2 + b^2 clamped at R_MIN^2; `out` may be `dz`."""
-    d_sq = np.add(np.square(dz, out=out), transverse_dist_sq, out=out)
+def _clamped_d6(dz_sq, transverse_dist_sq, out=None):
+    """d^6 with d^2 = dz^2 + b^2 clamped at R_MIN^2, from dz^2; `out` may
+    be `dz_sq`."""
+    d_sq = np.add(dz_sq, transverse_dist_sq, out=out)
     d_sq = np.maximum(d_sq, R_MIN**2, out=out)
     return np.power(d_sq, 3, out=out)
 
@@ -372,26 +374,39 @@ def _graded_grid(z_extent: float, gate_z):
 def _blockade_rows(params, field_a, gate_z, t_dist_sq, scale, q, v, out):
     """Blockade integrals of one row block of `transmission_batch`.
 
-    Builds the block's graded grid, w and beta, then for each
-    (field index k, a) of `field_a` writes the row sums of the blockade
-    term into `out[k]`.  `q` and `v` are work buffers with at least the
-    block's rows; they hold the grid steps and the relative density until
-    the field loop needs them.
+    Builds the graded grid, its trapezoid weights times the relative
+    density and (z - z_g)^2 once per run of rows with equal gate z (rows
+    ordered gate-z-major share it), gathers them to the rows with
+    `np.take` where a run has more than one row, and finishes w and beta
+    per row, with the ufuncs and operand order of a per-row build, so
+    rows that share a grid get the bits each would get alone.  Then for
+    each (field index k, a) of `field_a` writes the row sums of the
+    blockade term into `out[k]`.  `q` and `v` are work buffers with at
+    least the block's rows; they hold the grid steps and the relative
+    density until the field loop needs them.
     """
-    z = _graded_grid(params.z_extent, gate_z)
-    q, v = q[: z.shape[0]], v[: z.shape[0]]
-    # trapezoid weights times local g^2, then over d^6
-    dz = np.subtract(z[:, 1:], z[:, :-1], out=v[:, :-1])
+    first = np.empty(gate_z.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(gate_z[1:], gate_z[:-1], out=first[1:])
+    gates = gate_z[first]
+    z = _graded_grid(params.z_extent, gates)
+    # trapezoid weights times local g^2
+    dz = np.subtract(z[:, 1:], z[:, :-1], out=v[: gates.size, :-1])
     w = np.zeros_like(z)
     w[:, 1:] = dz
     w[:, :-1] += dz
-    w *= params.relative_density(z, out=q)
+    w *= params.relative_density(z, out=q[: gates.size])
+    # z becomes (z - z_g)^2, then d^6 and beta, in place
+    z -= gates[:, None]
+    d6 = np.square(z, out=z)
+    if gates.size < gate_z.size:
+        rows = np.cumsum(first) - 1
+        d6, w = np.take(d6, rows, axis=0), np.take(w, rows, axis=0)
     w *= (0.5 * params.g**2) * scale[:, None]
-    # z becomes d^6, then beta, in place
-    z -= gate_z[:, None]
-    d6 = _clamped_d6(z, t_dist_sq[:, None], out=z)
+    d6 = _clamped_d6(d6, t_dist_sq[:, None], out=d6)
     w /= d6
-    beta = np.divide(params.gamma, d6, out=z)
+    beta = np.divide(params.gamma, d6, out=d6)
+    q, v = q[: gate_z.size], v[: gate_z.size]
     for k, a in field_a:
         _blockade_kernel(w, beta, a, q=q, v=v)
         out[k].real = a.real * q.sum(axis=1)
@@ -416,17 +431,20 @@ def transmission_batch(
     cross-validated against `transmission_freq` in the test suite.
 
     The field enters only through the scalar `effective_c6`, so every
-    field's a = Omega^2/C is computed before the loop, and the grid and
-    the real field-free terms w = (trapezoid weight) g^2/d^6 and
-    beta = gamma/d^6 are built once per row.  The loop runs over blocks of
-    at most `_BLOCK_CELLS` cells (whole rows): each block builds its rows'
-    grid, w and beta, then each field costs one real `_blockade_kernel`
-    pass in two reused block-sized buffers and two row reductions.  Rows
-    are independent, so the amplitudes are those of an unblocked loop, and
-    the memory a call uses grows with its rows only through its inputs and
-    its (n_fields, n) results: the blockade integrals are finished into
-    amplitudes in that one complex table, by the ufuncs and operand order
-    of `eit * exp(1j * blockade / c)`, so the bits are the same.
+    field's a = Omega^2/C is computed before the loop, and the real
+    field-free terms w = (trapezoid weight) g^2/d^6 and beta = gamma/d^6
+    are built once per row.  The loop runs over blocks of at most
+    `_BLOCK_CELLS` cells (whole rows): each block builds the graded grid
+    once per run of rows with equal gate z (rows ordered gate-z-major
+    share it) and its rows' w and beta, then each field costs one real
+    `_blockade_kernel` pass in two reused block-sized buffers and two row
+    reductions.  Rows are independent, and a row's bits do not depend on
+    the rows it shares a grid with, so the amplitudes are those of an
+    unblocked loop, and the memory a call uses grows with its rows only
+    through its inputs and its (n_fields, n) results: the blockade
+    integrals are finished into amplitudes in that one complex table, by
+    the ufuncs and operand order of `eit * exp(1j * blockade / c)`, so the
+    bits are the same.
     """
     offsets = np.asarray(offsets, dtype=float)
     n = offsets.shape[0]

@@ -86,9 +86,9 @@ class TestLoadConfig:
         # each set-up is built at its limit and one past it, and never run
         load_config(None, "starkmap", {"field_start": 0.0, "field_stop": 1.0,
                                        "field_points": 65536})
-        build_setup(load_config(None, "retrieval", {"spinwave_points": 2115}))
+        build_setup(load_config(None, "retrieval", {"spinwave_points": 2263}))
         with pytest.raises(ConfigError, match="retrieval work arrays"):
-            load_config(None, "retrieval", {"spinwave_points": 2116})
+            load_config(None, "retrieval", {"spinwave_points": 2264})
         samples = 2**30 // (16 * 126)  # the default 66S/64S grid
         for scan in ("gain-scan", "fidelity-scan"):
             overrides = {"pair_system": "rb87_66s64s", "rate_grid": [0.0]}
@@ -375,7 +375,7 @@ class TestCli:
             ("gain-scan", ["--set", "pair_system=rb87_66s64s", "--samples", "600000",
                            "--set", "rate_grid=0"],
              "transport table of 126 fields x 600000 samples"),
-            ("retrieval", ["--set", "spinwave_points=2116"],
+            ("retrieval", ["--set", "spinwave_points=2264"],
              "retrieval work arrays take 1 GiB, above the 1 GiB limit"),
             ("retrieval", ["--set", "spinwave_points=1000000000"],
              "retrieval work arrays take"),

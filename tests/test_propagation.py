@@ -213,6 +213,31 @@ class TestFieldGrid:
         for k, f in enumerate(fields):
             assert np.array_equal(batch(slice(None), f), full[k])
 
+    def test_rows_sharing_a_gate_z_match_each_row_alone(self, setup, rng):
+        # a row block builds one graded grid per run of rows with equal gate
+        # z: 300 rows in runs of 1 to 12 on 20 gate z values, in shuffled
+        # order, so that a value recurs in runs apart, and one run crosses
+        # the first block boundary
+        fields = np.array([0.70, setup.resonance_field, 0.72])
+        grid_points = _graded_grid(setup.params.z_extent, [0.0]).shape[1]
+        rows = propagation._BLOCK_CELLS // grid_points
+        n = 300
+        assert rows < n
+        values = rng.normal(0.0, 15.0, size=20)
+        z = np.repeat(values[rng.integers(0, 20, size=n)], rng.integers(1, 13, size=n))[:n]
+        z[rows - 2:rows + 2] = values[0]
+        offsets, gates, scales = _samples(rng, n)
+        gates[:, 2] = z
+        runs = np.count_nonzero(np.diff(z)) + 1
+        assert runs < n // 2 and np.count_nonzero(np.diff(z == values[0]) == 1) > 1
+        amps = transmission_batch(offsets, gates, setup.params, setup.interaction,
+                                  field=fields, density_scale=scales)
+        for i in range(n):
+            alone = transmission_batch(offsets[i:i + 1], gates[i:i + 1], setup.params,
+                                       setup.interaction, field=fields,
+                                       density_scale=scales[i:i + 1])
+            assert np.array_equal(amps[:, i:i + 1], alone)
+
     def test_scalar_field_keeps_sample_shape(self, setup):
         gates = np.array([[0.0, 0.0, 5.0], [1.0, -1.0, -20.0], [0.5, 0.5, 0.0]])
         amps = transmission_batch(np.zeros((3, 2)), gates, setup.params,
