@@ -49,8 +49,8 @@ _PATH_BLOCK = 3
 _RETRIEVAL_GRID_ARRAYS = 7
 
 # Block-sized float arrays (`_BLOCK_CELLS` cells) a `transmission_batch`
-# call holds at its peak: its two kernel buffers, the graded grid, d^6 and
-# w (4.3 by tracemalloc).
+# call holds at its peak: its two kernel buffers and the nodes and weights
+# of its gate panels (4.7 by tracemalloc, with numpy's broadcast buffers).
 _TRANSPORT_BLOCKS = 5
 
 # Bytes per transport row (gate point x source path) of one gate offset,
@@ -212,10 +212,9 @@ def _path_transport(grid, params, interaction, fields, gate_offset, paths, scale
     m*h of the uniform `grid`, one row per field and path, shape
     fields.shape + (p, n).
 
-    One `transmission_batch` call takes every path and gate point, its
-    rows gate-z-major (row g*p + j is path j with the gate at grid[g]),
-    so the paths at one gate z share one graded grid; one `chi_values`
-    call takes every field and path.
+    One `transmission_batch` call takes every path and gate point (row
+    g*p + j is path j with the gate at grid[g]); one `chi_values` call
+    takes every field and path.
     """
     n, n_paths = grid.size, paths.shape[0]
     gx, gy = (float(c) for c in gate_offset)

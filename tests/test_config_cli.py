@@ -533,6 +533,27 @@ class TestCli:
                 "if m.split('.')[0] == 'scipy'))")
         assert _run_python(code) == "[]"
 
+    def test_pipelines_leave_numpy_polynomial_unloaded(self, tmp_path):
+        # importing numpy.polynomial adds about 0.7 MB of peak RSS; both
+        # transport solvers build their Gauss-Legendre rule without it
+        runs = [
+            ("gain-scan", {"samples": 50, "field_grid": "0.71"}),
+            ("retrieval", {"retrieval_offsets": 1, "spinwave_points": 11}),
+            ("oracle-check", {"oracle_sets": 2}),
+            ("fidelity-scan", {"samples": 20, "field_grid": "0.70,0.71",
+                               "rate_grid": "10"}),
+        ]
+        runs = [(scan, {**overrides, "output_dir": str(tmp_path / scan)})
+                for scan, overrides in runs]
+        code = ("import io, sys; "
+                "from rydsim.config import load_config; "
+                "from rydsim.runner import run_experiment; "
+                f"[run_experiment(load_config(None, scan, overrides), log=io.StringIO()) "
+                f"for scan, overrides in {runs!r}]; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('numpy.polynomial')))")
+        assert _run_python(code) == "[]"
+
     def test_package_source_imports_no_scipy(self):
         package = Path(rydsim.__file__).resolve().parent
         importers = []

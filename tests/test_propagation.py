@@ -14,6 +14,7 @@ from rydsim.interaction import InteractionParams, effective_c6
 from rydsim.propagation import (
     R_MIN,
     PropagationParams,
+    _gate_panels,
     _graded_grid,
     chi_values,
     eit_baseline,
@@ -145,9 +146,33 @@ class TestBatchSolver:
             ).amplitude
             assert abs(batch[i] - ref) < 2e-3
 
+    @pytest.mark.parametrize("pair_system, fields", [
+        ("rb87_50s48s", (0.0, 0.61, 0.71, 0.81)),
+        ("rb87_66s64s", (0.0, 0.03, 0.08, 0.25)),
+    ])
+    def test_gate_panels_match_converged_quadrature(self, rng, pair_system, fields):
+        # on and off resonance, off-axis paths (some within R_MIN of the
+        # gate line) and gates near both span ends; of the 1e-5 bound,
+        # about 2.9e-6 is `eit_baseline`'s infinite-span closed form
+        setup = build_setup(load_config(None, "gain-scan",
+                                        {"pair_system": pair_system}))
+        params, span = setup.params, setup.params.z_extent
+        offsets, gates, scales = _samples(rng, 40)
+        gates[:6, 2] = [-span + 0.5, -span + 10.0, -span + 25.0,
+                        span - 25.0, span - 10.0, span - 0.5]
+        offsets[6:12] = gates[6:12, :2] + rng.normal(0.0, 0.3, size=(6, 2))
+        amps = transmission_batch(offsets, gates, params, setup.interaction,
+                                  field=np.array(fields), density_scale=scales)
+        for k, field in enumerate(fields):
+            ref = [transmission_freq(offsets[i], gates[i], params, setup.interaction,
+                                     field=field, density_scale=scales[i],
+                                     rtol=1e-10).amplitude
+                   for i in range(len(scales))]
+            assert np.max(np.abs(amps[k] - ref)) <= 1e-5
+
     @pytest.mark.parametrize("profile", ["gaussian", "uniform"])
     def test_no_blockade_is_the_closed_form(self, setup, rng, profile):
-        # the graded grid carries only the blockade term, so without
+        # the gate panels carry only the blockade term, so without
         # channels the gated solver returns eit_baseline at every gate
         params = dataclasses.replace(setup.params, profile=profile)
         free = InteractionParams(gamma_p=0.0)
@@ -214,14 +239,13 @@ class TestFieldGrid:
             assert np.array_equal(batch(slice(None), f), full[k])
 
     def test_rows_sharing_a_gate_z_match_each_row_alone(self, setup, rng):
-        # a row block builds one graded grid per run of rows with equal gate
-        # z: 300 rows in runs of 1 to 12 on 20 gate z values, in shuffled
-        # order, so that a value recurs in runs apart, and one run crosses
-        # the first block boundary
+        # rows in runs of 1 to 12 on 20 gate z values, in shuffled order,
+        # so that a value recurs in runs apart, and one run crosses the
+        # first block boundary
         fields = np.array([0.70, setup.resonance_field, 0.72])
         grid_points = _graded_grid(setup.params.z_extent, [0.0]).shape[1]
         rows = propagation._BLOCK_CELLS // grid_points
-        n = 300
+        n = rows + 40
         assert rows < n
         values = rng.normal(0.0, 15.0, size=20)
         z = np.repeat(values[rng.integers(0, 20, size=n)], rng.integers(1, 13, size=n))[:n]
@@ -286,11 +310,8 @@ class TestBlockadeKernel:
         offsets, gates, scales = _samples(rng, 60)
         amps = transmission_batch(offsets, gates, params, setup.interaction,
                                   field=fields, density_scale=scales)
-        z = _graded_grid(params.z_extent, gates[:, 2])
-        weights = np.zeros_like(z)
-        weights[:, 1:] = np.diff(z, axis=1)
-        weights[:, :-1] += np.diff(z, axis=1)
-        g_sq = 0.5 * weights * params.g**2 * scales[:, None] * params.relative_density(z)
+        z, weights = _gate_panels(params.z_extent, gates[:, 2])
+        g_sq = weights * params.g**2 * scales[:, None] * params.relative_density(z)
         t_dist_sq = np.sum((offsets - gates[:, :2]) ** 2, axis=1)
         d_sq = np.maximum((z - gates[:, 2:]) ** 2 + t_dist_sq[:, None], R_MIN**2)
         base = eit_baseline(params, scales).amplitude
@@ -682,6 +703,15 @@ def test_quadrature_lies_within_rtol_of_scipy_quad(rtol):
                                 rtol=rtol).amplitude
         # an exponent within rtol of the reference integral
         assert abs(got - ref) <= rtol * abs(integral) / params.c * abs(ref)
+
+
+def test_gauss_rule_matches_numpy_leggauss():
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = propagation._gauss_rule()
+    ref_nodes, ref_weights = leggauss(propagation._GAUSS_POINTS)
+    assert np.max(np.abs(nodes - ref_nodes)) <= 1e-14
+    assert np.max(np.abs(weights - ref_weights)) <= 1e-14
 
 
 def test_quadrature_failure_raises_numerics_error(setup, monkeypatch):
