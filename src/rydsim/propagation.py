@@ -62,7 +62,8 @@ R_MIN = 0.5
 # gate (um): the panels widen as the 1/d^6 term falls off, and the span
 # ends clip the infinite ones.  These edges keep both presets within 3.2e-6
 # of `transmission_freq`; gate +- {1, 3, 8, 24} read up to 2.8e-5 off the
-# 66S/64S resonances, where C6 is largest.
+# 66S/64S resonances, where C6 is largest.  A uniform slab adds its ends as
+# two more edges (`_gate_panels`), 120 nodes a row in place of 100.
 _GATE_PANEL_EDGES = np.array([-np.inf, -30, -12, -5, -2, 0, 2, 5, 12, 30, np.inf])
 
 # Cells (rows x nodes) of one row block of `transmission_batch`: the
@@ -364,13 +365,24 @@ def _adaptive_integral(f, edges, rtol: float) -> complex:
         right = np.concatenate([right[keep], new_right])
 
 
-def _gate_panels(z_extent: float, gate_z):
+def _slab(params: PropagationParams):
+    """Half-length of a uniform slab, whose ends `_gate_panels` adds as
+    panel edges, or None for the Gaussian profile."""
+    return params.cloud_half_length if params.profile == "uniform" else None
+
+
+def _gate_panels(z_extent: float, gate_z, slab=None):
     """(rows, nodes) nodes and weights of the blockade integral about each
     gate z: `_gauss_rule` on each panel of `_GATE_PANEL_EDGES` about the
-    gate, clipped to +-z_extent; a panel clipped away has zero width and
-    weight, so every row has the same nodes."""
+    gate, and at the ends +-`slab` of a uniform slab, where the density
+    jumps, if given, clipped to +-z_extent; a panel clipped away has zero
+    width and weight, so every row has the same nodes."""
     gate_z = np.atleast_1d(np.asarray(gate_z, dtype=float))
-    edges = np.clip(gate_z[:, None] + _GATE_PANEL_EDGES, -z_extent, z_extent)
+    edges = gate_z[:, None] + _GATE_PANEL_EDGES
+    if slab is not None:
+        ends = np.broadcast_to([-slab, slab], (gate_z.size, 2))
+        edges = np.sort(np.concatenate([edges, ends], axis=1), axis=1)
+    edges = np.clip(edges, -z_extent, z_extent)
     half = 0.5 * np.diff(edges, axis=1)[:, :, None]
     nodes, weights = _gauss_rule()
     z = half * nodes
@@ -379,8 +391,8 @@ def _gate_panels(z_extent: float, gate_z):
 
 
 def _graded_grid(z_extent: float, gate_z):
-    """The (rows, nodes) nodes of `_gate_panels`; the benchmark's tracer
-    counts the nodes per row from it."""
+    """The (rows, nodes) nodes of `_gate_panels` of a Gaussian cloud; the
+    benchmark's tracer counts the nodes per row from it."""
     return _gate_panels(z_extent, gate_z)[0]
 
 
@@ -390,16 +402,29 @@ def _blockade_rows(params, field_a, gate_z, t_dist_sq, scale, q, v, out):
     Builds w = (Gauss weight) g^2/d^6 and beta = gamma/d^6 on the rows'
     `_gate_panels`, then for each (field index k, a) of `field_a` writes
     the row sums of the blockade term into `out[k]`.  `q` and `v` are work
-    buffers with at least the block's rows.
+    buffers with at least the block's rows.  The panels, the Gauss weight
+    times the density and (z - z_g)^2 depend on the gate z alone, so they
+    are built once per run of rows with equal gate z and repeated to its
+    rows; every row takes the ufuncs and operand order of a row built
+    alone, so its bits do not depend on its neighbours.
     """
     q, v = q[: gate_z.size], v[: gate_z.size]
-    z, w = _gate_panels(params.z_extent, gate_z)
-    # Gauss weights times local g^2
-    w *= params.relative_density(z, out=q)
+    new_run = np.empty(gate_z.size, dtype=bool)
+    new_run[0] = True
+    np.not_equal(gate_z[1:], gate_z[:-1], out=new_run[1:])
+    run_z = gate_z[new_run]
+    z, w = _gate_panels(params.z_extent, run_z, _slab(params))
+    # Gauss weights times the relative density, and (z - z_g)^2
+    w *= params.relative_density(z, out=q[: run_z.size])
+    z -= run_z[:, None]
+    np.square(z, out=z)
+    if run_z.size < gate_z.size:
+        run = np.cumsum(new_run)
+        run -= 1
+        z, w = z[run], w[run]
+    # times the row's g^2, then d^6 and beta, in place
     w *= params.g**2 * scale[:, None]
-    # z becomes (z - z_g)^2, then d^6 and beta, in place
-    z -= gate_z[:, None]
-    d6 = _clamped_d6(np.square(z, out=z), t_dist_sq[:, None], out=z)
+    d6 = _clamped_d6(z, t_dist_sq[:, None], out=z)
     w /= d6
     beta = np.divide(params.gamma, d6, out=d6)
     for k, a in field_a:
@@ -429,7 +454,8 @@ def transmission_batch(
     The field enters only through the scalar `effective_c6`, so every
     field's a = Omega^2/C is computed before the loop, and the real
     field-free terms w = (Gauss weight) g^2/d^6 and beta = gamma/d^6
-    are built once per row.  The loop runs over blocks of at most
+    are built once per row, from panels built once per run of rows with
+    equal gate z (`_blockade_rows`).  The loop runs over blocks of at most
     `_BLOCK_CELLS` cells (whole rows): each block builds its rows' nodes,
     w and beta, then each field costs one real `_blockade_kernel` pass in
     two reused block-sized buffers and two row reductions.  Rows are
@@ -457,7 +483,7 @@ def transmission_batch(
         c6 = effective_c6(params.omega, float(f), interaction)
         if c6 != 0.0:
             field_a.append((k, complex(params.omega_rabi**2 / c6)))
-    points = (_GATE_PANEL_EDGES.size - 1) * _GAUSS_POINTS
+    points = _gate_panels(params.z_extent, 0.0, _slab(params))[0].shape[1]
     rows = max(1, _BLOCK_CELLS // points)
     q = np.empty((min(rows, n), points))
     v = np.empty_like(q)

@@ -14,11 +14,22 @@ channel is always built for a block of source paths, on a field grid or
 at one field, as the stacked Kraus rows X = [t | scatter] of its paths,
 so its decoherence matrix is one real matrix product.  The retrieval
 pipeline builds each gate group's transport once for all its paths and
-keeps only the group's Poisson overlap row.
+keeps only the group's Poisson overlap row; the overlap weights are built
+once per stored state.
+
+The per-element kernels avoid numpy's float64 sin and cos, which are
+scalar loops where its float64 tan is vectorised: a scatter amplitude is
+the product of the square roots of its three factors (the separation
+kernel, the column density and the per-gate normalisation), so the
+square roots are taken on rows, not on the n x n table, and each phase
+factor, of a scatter amplitude or of the Poisson overlap, comes from the
+tangent of the half angle (`_half_angle_rotate`).  Where tan is not
+vectorised, that form costs about what sin and cos do and is as accurate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -74,6 +85,22 @@ class SpinWaveState:
         if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
             raise ValueError("density matrix must be Hermitian")
         object.__setattr__(self, "rho", rho)
+
+    @functools.cached_property
+    def _overlap_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """`(upper, w_upper)` of `poisson_overlap`, built once per state:
+        the boolean mask of the upper triangle and, on it in row-major
+        order, the weights w = psi rho psi with the strict upper triangle
+        doubled.  Raises `NumericsError` unless w is real within 1e-10."""
+        psi = np.sqrt(np.real(np.diag(self.rho)))  # real by construction
+        w = np.multiply(psi[:, None], self.rho)
+        w *= psi[None, :]
+        if np.max(np.abs(w.imag)) > 1e-10:
+            raise NumericsError("retrieval overlap weights psi*rho*psi are not real")
+        upper = np.triu(np.ones(w.shape, dtype=bool))
+        w_upper = w.real[upper]
+        w_upper[~np.eye(w.shape[0], dtype=bool)[upper]] *= 2.0
+        return upper, w_upper
 
 
 @dataclass(frozen=True)
@@ -205,6 +232,25 @@ def _grid_step(grid: np.ndarray) -> float:
     return h
 
 
+def _half_angle_rotate(half: np.ndarray, amplitude: np.ndarray) -> None:
+    """amplitude * exp(2i * half), elementwise and in place: the real part
+    over `amplitude` and the imaginary part over `half`.
+
+    From t = tan(half), cos(2 half) = (1 - t^2) / (1 + t^2) and
+    sin(2 half) = 2t / (1 + t^2), so with R = 2 amplitude / (1 + t^2) the
+    real part is R - amplitude and the imaginary part t R, within a few
+    ulp of amplitude also where t is huge (half near an odd multiple of
+    pi/2) or zero.  Why tan, see the module docstring.
+    """
+    t = np.tan(half, out=half)
+    r = np.square(t)
+    r += 1.0
+    r *= 0.5
+    np.divide(amplitude, r, out=r)
+    np.multiply(t, r, out=half)
+    np.subtract(r, amplitude, out=amplitude)
+
+
 def _path_transport(grid, params, interaction, fields, gate_offset, paths, scale):
     """Transport of the source `paths` past a gate at `gate_offset`:
     `(t, chi1)`, t of shape fields.shape + (n, p) (gate point, path) with
@@ -260,9 +306,14 @@ def photon_channel(
     chi at unit density, a function of the separation m*h alone.  So the
     one `chi_values` call takes the n separations per field and path, and
     each (g, s) table of weights and phases is read from that row through
-    a Toeplitz view.  A field whose chi1 has no real part and whose t is
-    real (a purely dissipative V_ef) gets real amplitudes and computes no
-    phase.
+    a Toeplitz view.  A scatter amplitude is
+    sqrt(clip(Im chi1))[|s - g|] * sqrt(u[s]) * sqrt(lost[g] / norm[g]),
+    u the column density and norm[g] the sum over s of Im chi1 * u (one
+    read-only pass over the Toeplitz view), so the n x n table takes two
+    passes.  Its phase factor comes from t = tan(phase / 2) by
+    `_half_angle_rotate`, the 1/2 taken into the phase step.  A field whose
+    chi1 has no real part and whose t is real (a purely dissipative V_ef)
+    gets real amplitudes and computes no phase.
 
     `field` is a scalar or a 1-D field grid, as in `transmission_batch`.
     `source_offset` is a (p, 2) block of paths (bx, by), a single (bx, by)
@@ -292,16 +343,19 @@ def photon_channel(
     # loop on strided input, which can differ in the last bit
     lost = np.clip(1.0 - np.abs(np.ascontiguousarray(t)) ** 2, 0.0, None)
 
-    # the rows mirrored, so that a sliding window reads row[|s - g|] at [g, s],
-    # with the real and the clipped imaginary parts apart, so the windows are
-    # contiguous rows of floats; [field, g, path, s]
+    # the rows mirrored, so that a sliding window reads row[|s - g|] at [g, s]:
+    # the real parts, the clipped imaginary parts and their square roots
+    # apart, so the windows are contiguous rows of floats; [field, g, path, s]
     sym = np.concatenate([chi1[..., :0:-1], chi1], axis=-1)
-    re_table, im_table = (
+    im_sym = np.clip(sym.imag, 0.0, None)
+    re_table, im_table, root_table = (
         np.lib.stride_tricks.sliding_window_view(part, n, axis=-1)[..., ::-1, :]
         .transpose(0, 2, 1, 3)
-        for part in (sym.real.copy(), np.clip(sym.imag, 0.0, None)))
+        for part in (sym.real.copy(), im_sym, np.sqrt(im_sym)))
     # scale * n(s) * dz(s), the factor of chi1 at scattering point s; [path, s]
     u = scale[:, None] * (params.relative_density(grid) * np.gradient(grid))
+    root_u = np.sqrt(u)
+    half_step = u / (2.0 * params.c)
     size = 2 * chi1.shape[0] * n * n_paths * (n + 1)
     if out is None:
         out = np.empty(size)
@@ -311,23 +365,20 @@ def photon_channel(
         xr, xi = x[k, :, 0], x[k, :, 1]
         phase_free[k] = not (chi1[k].real.any() or t[k].imag.any())
         xr[..., 0] = t[k].real
-        weights = (xr if phase_free[k] else xi)[..., 1:]
-        np.multiply(im_table[k], u, out=weights)
-        norm = weights.sum(axis=-1)
-        weights *= (lost[k] / np.where(norm > 0, norm, 1.0))[..., None]
-        amplitude = np.sqrt(weights, out=weights)
+        # amplitude = sqrt(Im chi1[|s - g|] u[s] lost[g] / norm[g]), the
+        # scattering weights normalised to the lost probability, as a
+        # product of square roots
+        norm = np.einsum("gps,ps->gp", im_table[k], u)
+        amplitude = np.multiply(root_table[k], root_u, out=xr[..., 1:])
+        amplitude *= np.sqrt(lost[k] / np.where(norm > 0, norm, 1.0))[..., None]
         if phase_free[k]:
             continue
         xi[..., 0] = t[k].imag
-        # the cumulative propagation phase up to each scattering point, then
-        # scatter = exp(i*phase) * amplitude from real cos/sin
-        phase = np.multiply(re_table[k], u / params.c, out=xr[..., 1:])
-        np.cumsum(phase, axis=-1, out=phase)
-        sin = np.sin(phase)
-        np.cos(phase, out=phase)
-        phase *= amplitude
-        np.multiply(sin, amplitude, out=amplitude)
-        del sin  # before the next field, and the completeness check, allocate
+        # half the cumulative propagation phase up to each scattering point,
+        # then scatter = exp(i*phase) * amplitude
+        half = np.multiply(re_table[k], half_step, out=xi[..., 1:])
+        np.cumsum(half, axis=-1, out=half)
+        _half_angle_rotate(half, amplitude)
     return _StackedChannel(x.reshape(fields.shape + x.shape[1:]),
                            phase_free.reshape(fields.shape))
 
@@ -366,23 +417,18 @@ def poisson_overlap(
 
     The sum is evaluated in real arithmetic on the upper triangle: w is
     real symmetric and each D is Hermitian, so it is the diagonal plus
-    twice the strict upper triangle of w exp(mu (Re D - 1)) cos(mu Im D).
-    Raises `NumericsError` when a D is not Hermitian or w is not real
-    within 1e-10, where that form would not hold.
+    twice the strict upper triangle of w exp(mu (Re D - 1)) cos(mu Im D),
+    with cos(x) = 2 / (1 + tan^2(x/2)) - 1 (see the module docstring).  w
+    on the triangle is built once per state (`SpinWaveState._overlap_tables`),
+    and the loop over the means reuses two buffers.  Raises `NumericsError`
+    when a D is not Hermitian or w is not real within 1e-10, where that form
+    would not hold.
     """
     source_means = np.asarray(source_means, dtype=float)
     decoherence = np.asarray(decoherence)
-    psi = np.sqrt(np.real(np.diag(state.rho)))  # real by construction
-    w = np.multiply(psi[:, None], state.rho)
-    w *= psi[None, :]
-    if np.max(np.abs(w.imag)) > 1e-10:
-        raise NumericsError("retrieval overlap weights psi*rho*psi are not real")
-
-    upper = np.triu_indices(w.shape[0])
-    w_upper = w.real[upper]
-    del w  # the loop holds upper triangles only
-    w_upper[upper[0] != upper[1]] *= 2.0
+    upper, w_upper = state._overlap_tables
     overlap = np.empty(decoherence.shape[:-2] + (source_means.size,))
+    term, cos = np.empty(w_upper.size), np.empty(w_upper.size)
     for idx in np.ndindex(decoherence.shape[:-2]):
         d = decoherence[idx]
         d_upper = d[upper]
@@ -390,11 +436,19 @@ def poisson_overlap(
             raise NumericsError(f"decoherence matrix {idx} is not Hermitian")
         re_less_one = d_upper.real - 1.0
         # a real D (a dissipative V_ef) has cos(mu Im D) = 1 exactly
-        d_imag = d_upper.imag.copy() if d_upper.imag.any() else None
+        half_imag = 0.5 * d_upper.imag if d_upper.imag.any() else None
         for im, mean in enumerate(source_means):
-            term = np.exp(mean * re_less_one)
-            if d_imag is not None:
-                term *= np.cos(mean * d_imag)
+            np.multiply(re_less_one, mean, out=term)
+            np.exp(term, out=term)
+            if half_imag is not None:
+                # cos(mu Im D) = 2 / (1 + tan^2(mu Im D / 2)) - 1
+                np.multiply(half_imag, mean, out=cos)
+                np.tan(cos, out=cos)
+                np.square(cos, out=cos)
+                cos += 1.0
+                np.divide(2.0, cos, out=cos)
+                cos -= 1.0
+                term *= cos
             overlap[idx + (im,)] = float(w_upper @ term)
     return overlap
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st  # noqa: E402
 from rydsim.atomic_states import PairChannel, RydbergLevel  # noqa: E402
 from rydsim.interaction import InteractionParams  # noqa: E402
 from rydsim.propagation import (  # noqa: E402
+    R_MIN,
     PropagationParams,
     transmission_batch,
     transmission_freq,
@@ -58,8 +59,8 @@ def _oracle_sets(draw):
 
 
 @settings(max_examples=36, deadline=None)
-@given(case=_oracle_sets())
-def test_steady_state_graded_grid_and_quadrature_agree(case):
+@given(case=_oracle_sets(), data=st.data())
+def test_steady_state_graded_grid_and_quadrature_agree(case, data):
     params, inter, gate_z = case
     gate = (0.0, 0.0, gate_z)
     ref = transmission_freq((0.0, 0.0), gate, params, inter)
@@ -68,6 +69,13 @@ def test_steady_state_graded_grid_and_quadrature_agree(case):
     # the criterion-3 bound, and the bound of TestBatchSolver
     assert abs(steady.intensity - ref.intensity) <= 0.01
     assert abs(batch[0] - ref.amplitude) <= 2e-3
+    # the gate panels against a converged quadrature, on both profiles (a
+    # uniform slab's ends are panel edges), for a path at least R_MIN off
+    # the gate line: nearer, the clamp's kink falls inside a gate panel
+    path = (data.draw(st.floats(R_MIN, 4.0)), 0.0)
+    batch = transmission_batch(np.array([path]), np.array([gate]), params, inter)
+    converged = transmission_freq(path, gate, params, inter, rtol=1e-10)
+    assert abs(batch[0] - converged.amplitude) <= 2e-5
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,6 +3,7 @@
 import collections
 import csv
 import dataclasses
+import functools
 import io
 import tracemalloc
 
@@ -402,6 +403,75 @@ class TestTriangleForm:
         d = np.ones((5, 5), dtype=complex)
         with pytest.raises(NumericsError, match="not real"):
             _curve(state, d[None], np.zeros(1), [1.0], eta_base=0.2)
+
+
+class TestHalfAngleForms:
+    """The tangent half-angle phasors of `photon_channel` and
+    `poisson_overlap` against np.cos and np.sin, and the overlap tables
+    built once per state."""
+
+    def test_rotation_matches_cos_and_sin(self, rng):
+        odd = (2 * np.arange(-320, 320) + 1) * np.pi
+        # zero, tiny phases, and the doubles nearest odd multiples of pi/2
+        # (t near +-1) and of pi (t near +-1e16)
+        special = np.concatenate([[0.0, 1e-300, -1e-300], odd, odd / 2,
+                                  np.nextafter(odd, np.inf), np.nextafter(odd / 2, -np.inf)])
+        phase = np.concatenate([rng.uniform(-1e3, 1e3, 100_000),
+                                special[np.abs(special) <= 1e3]])
+        half, amplitude = 0.5 * phase, np.ones_like(phase)
+        spinwave._half_angle_rotate(half, amplitude)
+        cos, sin = amplitude, half
+        ulp = np.spacing(1.0)
+        assert np.all(np.isfinite(cos)) and np.all(np.isfinite(sin))
+        assert np.max(np.abs(cos - np.cos(phase))) <= 4 * ulp
+        assert np.max(np.abs(sin - np.sin(phase))) <= 4 * ulp
+        assert np.max(np.abs(cos**2 + sin**2 - 1.0)) <= 4 * ulp
+
+    def test_overlap_matches_the_cos_form(self, setup, rng):
+        state = stored_spinwave(setup.geometry, n_points=61)
+        n = state.grid.size
+        # Hermitian with unit diagonal: Re D in [0.95, 1] and |Im D| <= 0.2,
+        # so |mu Im D| reaches 20 at mu = 100
+        re = rng.uniform(0.95, 1.0, size=(n, n))
+        re = np.triu(re, 1) + np.triu(re, 1).T + np.eye(n)
+        im = np.triu(rng.uniform(-0.2, 0.2, size=(n, n)), 1)
+        d = re + 1j * (im - im.T)
+        means = np.array([0.0, 0.5, 3.0, 20.0, 60.0, 100.0])
+        psi = np.sqrt(np.real(np.diag(state.rho)))
+        w = (psi[:, None] * state.rho * psi[None, :]).real
+        ref = np.array([np.sum(w * np.exp(mu * (re - 1.0)) * np.cos(mu * d.imag))
+                        for mu in means])
+        got = poisson_overlap(state, d[None], means)[0]
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-14
+
+    def test_overlap_tables_built_once_per_state(self, setup, monkeypatch):
+        built = []
+        build = SpinWaveState._overlap_tables.func
+
+        def counted(state):
+            built.append(state)
+            return build(state)
+
+        tables = functools.cached_property(counted)
+        tables.__set_name__(SpinWaveState, "_overlap_tables")
+        monkeypatch.setattr(SpinWaveState, "_overlap_tables", tables)
+        groups = []
+
+        def recording(state, decoherence, source_means):
+            groups.append(state)
+            return poisson_overlap(state, decoherence, source_means)
+
+        monkeypatch.setattr(spinwave, "poisson_overlap", recording)
+        args = (setup.geometry, setup.params, setup.interaction,
+                np.array([setup.resonance_field, 0.0]))
+        kw = dict(n_offsets=4, seed=1, source_means=[0.0, 1.0, 10.0])
+        states = [stored_spinwave(setup.geometry, n_points=31) for _ in range(2)]
+        for state in states:
+            transverse_channels(state, *args, **kw)
+        assert len(groups) == 8 and [id(s) for s in groups] == [id(states[0])] * 4 + [
+            id(states[1])] * 4
+        assert [id(s) for s in built] == [id(s) for s in states]
+        assert states[0]._overlap_tables[1] is not states[1]._overlap_tables[1]
 
 
 class TestRetrievalCurve:
