@@ -49,6 +49,10 @@ _MAX_RETRIEVAL_WORK_BYTES = 2**30
 # channel, and every scan echoes the grid into summary.json.
 _MAX_FIELD_POINTS = 2**16
 
+# Most parameter sets of the time-domain oracle check: it builds every set
+# before the first solve and writes a CSV row per set.
+_MAX_ORACLE_SETS = 2**16
+
 # Upper end of the Stark range searched for resonances (V/cm).
 _FIELD_MAX = 2.0
 
@@ -177,6 +181,10 @@ def _validate(values: dict) -> None:
         raise ConfigError(f"samples must be >= 2, got {values['samples']}")
     if values["oracle_sets"] < 1:
         raise ConfigError("oracle_sets must be >= 1")
+    if values["oracle_sets"] > _MAX_ORACLE_SETS:
+        raise ConfigError(
+            f"oracle_sets must be <= {_MAX_ORACLE_SETS}, got {values['oracle_sets']}"
+        )
     # a field grid holds dc field magnitudes
     fields = np.asarray(values["field_grid"], dtype=float)
     if fields.size > _MAX_FIELD_POINTS:
@@ -241,6 +249,9 @@ def _validate(values: dict) -> None:
         raise ConfigError("source_means must all be finite")
     if min(values["source_means"]) < 0:
         raise ConfigError("source_means must all be >= 0")
+    # the headline interpolates the retrieval curve over the means
+    if np.any(np.diff(values["source_means"]) < 0):
+        raise ConfigError("source_means must be sorted ascending")
 
 
 def _parse_scalar(key: str, raw: str, source: str, lineno: int):

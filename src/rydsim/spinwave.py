@@ -105,38 +105,34 @@ class SpinWaveState:
 
 @dataclass(frozen=True)
 class PhotonChannel:
-    """Diagonal transmit/scatter Kraus family for a block of source paths.
+    """Diagonal transmit/scatter Kraus family for a block of source paths,
+    held as its stacked Kraus rows.
 
-    `transmit[..., p, g]` holds t(z_g) of path p; `scatter[..., p, s, g]`
-    is its amplitude to scatter at grid point s given the gate at grid
-    point g.  Any leading axes (a field grid) come first.  Completeness
-    |t(g)|^2 + sum_s |scatter[s,g]|^2 = 1 holds per path and column, and
-    the channel is the equal-weight mixture of its p paths.
-
-    The paths' Kraus rows stack as X[..., g, p, :] = [t(g) | scatter[:, g]]
-    of path p.  `_stacked` gives X as `(x, phase_free)`: x[..., g, 0, p, :]
-    and x[..., g, 1, p, :] its real and imaginary parts, contiguous per
-    leading index, so row g of x holds all of X[g]'s real parts, then all
-    its imaginary parts; `phase_free[...]` is true where X is real, whose
-    imaginary parts are then not read.  A channel built from `transmit` and
-    `scatter` assembles x on each read; `photon_channel` returns one that
-    holds x (`_StackedChannel`).
+    Path p's Kraus row at gate grid point g is X[..., g, p, :] =
+    [t(g) | scatter[:, g]]: its transmission amplitude, then its amplitudes
+    to scatter at each grid point s.  Any leading axes (a field grid) come
+    first.  `x[..., g, 0, p, :]` and `x[..., g, 1, p, :]` are the real and
+    imaginary parts of X, contiguous per leading index, so row g of x holds
+    all of X[g]'s real parts, then all its imaginary parts; `phase_free[...]`
+    is true where X is real, whose imaginary parts are then not read.
+    Completeness |t(g)|^2 + sum_s |scatter[s,g]|^2 = 1 holds per path and
+    column within 1e-6 (else `NumericsError`), and the channel is the
+    equal-weight mixture of its p paths.
     """
 
-    transmit: np.ndarray
-    scatter: np.ndarray
+    x: np.ndarray
+    phase_free: np.ndarray
 
     def __post_init__(self):
-        _check_completeness(*self._stacked())
-
-    def _stacked(self) -> Tuple[np.ndarray, np.ndarray]:
-        t, s = np.asarray(self.transmit), np.asarray(self.scatter)
-        n_paths, n_s, n = s.shape[-3:]
-        x = np.empty(s.shape[:-3] + (n, 2, n_paths, n_s + 1))
-        for part, take in enumerate((np.real, np.imag)):
-            x[..., part, :, 0] = np.swapaxes(take(t), -1, -2)
-            x[..., part, :, 1:] = np.moveaxis(take(s), -1, -3)
-        return x, ~x[..., 1, :, :].any(axis=(-3, -2, -1))
+        real = self.x[..., 0, :, :]
+        total = np.einsum("...k,...k->...", real, real)
+        for idx in np.ndindex(self.phase_free.shape):
+            if not self.phase_free[idx]:
+                imag = self.x[idx][:, 1]
+                total[idx] += np.einsum("...k,...k->...", imag, imag)
+        err = float(np.max(np.abs(total - 1.0)))
+        if not np.isfinite(err) or err > 1e-6:
+            raise NumericsError(f"Kraus completeness violated by {err:.3g}")
 
     @property
     def decoherence_matrix(self) -> np.ndarray:
@@ -149,7 +145,7 @@ class PhotonChannel:
         X), and Im D = M - M^T with M = Ai Ar^T.  So D is exactly
         Hermitian.
         """
-        x, phase_free = self._stacked()
+        x, phase_free = self.x, self.phase_free
         n, _, n_paths = x.shape[-4:-1]
         d = np.empty(x.shape[:-4] + (n, n), dtype=complex)
         for idx in np.ndindex(d.shape[:-2]):
@@ -166,50 +162,23 @@ class PhotonChannel:
         d /= n_paths
         return d
 
-
-class _StackedChannel(PhotonChannel):
-    """A channel that holds its stacked x (see `PhotonChannel`), as
-    `photon_channel` writes it; `transmit` and `scatter` are read back
-    from x as new complex arrays."""
-
-    def __init__(self, x: np.ndarray, phase_free: np.ndarray):
-        object.__setattr__(self, "_x", x)
-        object.__setattr__(self, "_phase_free", phase_free)
-        _check_completeness(x, phase_free)
-
-    def _stacked(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self._x, self._phase_free
-
     @property
     def transmit(self) -> np.ndarray:
+        """t(g) of each path as a new complex array, shape [..., p, g]."""
         return self._read_back(lambda a: np.swapaxes(a[..., 0], -1, -2))
 
     @property
     def scatter(self) -> np.ndarray:
+        """Scatter amplitudes as a new complex array, shape [..., p, s, g]."""
         return self._read_back(lambda a: np.moveaxis(a[..., 1:], -3, -1))
 
     def _read_back(self, arrange) -> np.ndarray:
-        x, phase_free = self._x, self._phase_free
-        out = np.empty(arrange(x[..., 0, :, :]).shape, dtype=complex)
-        out.real = arrange(x[..., 0, :, :])
-        imag = arrange(x[..., 1, :, :])
-        for idx in np.ndindex(phase_free.shape):
-            out[idx].imag = 0.0 if phase_free[idx] else imag[idx]
+        out = np.empty(arrange(self.x[..., 0, :, :]).shape, dtype=complex)
+        out.real = arrange(self.x[..., 0, :, :])
+        imag = arrange(self.x[..., 1, :, :])
+        for idx in np.ndindex(self.phase_free.shape):
+            out[idx].imag = 0.0 if self.phase_free[idx] else imag[idx]
         return out
-
-
-def _check_completeness(x: np.ndarray, phase_free: np.ndarray) -> None:
-    """Raise `NumericsError` unless every path's Kraus row of the stacked
-    x has unit norm within 1e-6."""
-    real = x[..., 0, :, :]
-    total = np.einsum("...k,...k->...", real, real)
-    for idx in np.ndindex(phase_free.shape):
-        if not phase_free[idx]:
-            imag = x[idx][:, 1]
-            total[idx] += np.einsum("...k,...k->...", imag, imag)
-    err = float(np.max(np.abs(total - 1.0)))
-    if not np.isfinite(err) or err > 1e-6:
-        raise NumericsError(f"Kraus completeness violated by {err:.3g}")
 
 
 def stored_spinwave(geometry: ExperimentGeometry, n_points: int) -> SpinWaveState:
@@ -318,14 +287,14 @@ def photon_channel(
     `field` is a scalar or a 1-D field grid, as in `transmission_batch`.
     `source_offset` is a (p, 2) block of paths (bx, by), a single (bx, by)
     being a block of one, with `density_scale` a scalar or one per path;
-    the channel is the mixture of the paths (see `PhotonChannel`), with
-    `transmit` of shape field.shape + (p, n).  The amplitudes are written
-    straight into the stacked x of the returned channel.  `transport`, if
-    given, is the `(t, chi1)` of these paths (see `_path_transport`),
-    which is then not recomputed; otherwise every path and field is built
-    in one `transmission_batch` and one `chi_values` call.  `out`, if
-    given, is a 1-D float work array of at least
-    2 * fields * n * p * (n + 1) elements whose front receives x.
+    the channel is the mixture of the paths (see `PhotonChannel`), with x
+    of shape field.shape + (n, 2, p, n + 1).  The amplitudes are written
+    straight into that x.  `transport`, if given, is the `(t, chi1)` of
+    these paths (see `_path_transport`), which is then not recomputed;
+    otherwise every path and field is built in one `transmission_batch`
+    and one `chi_values` call.  `out`, if given, is a 1-D float work
+    array of at least 2 * fields * n * p * (n + 1) elements whose front
+    receives x.
     """
     grid = np.asarray(grid, dtype=float)
     _grid_step(grid)
@@ -379,8 +348,8 @@ def photon_channel(
         half = np.multiply(re_table[k], half_step, out=xi[..., 1:])
         np.cumsum(half, axis=-1, out=half)
         _half_angle_rotate(half, amplitude)
-    return _StackedChannel(x.reshape(fields.shape + x.shape[1:]),
-                           phase_free.reshape(fields.shape))
+    return PhotonChannel(x.reshape(fields.shape + x.shape[1:]),
+                         phase_free.reshape(fields.shape))
 
 
 def _psd_sqrt(rho: np.ndarray, tol: float = 1e-8) -> np.ndarray:

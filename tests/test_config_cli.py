@@ -409,6 +409,8 @@ class TestCli:
              "Förster defect at 1e+300 V/cm is not finite"),
             ("starkmap", ["--set", "field_grid=0.7,1e150"],
              "field_grid entry 1e+150 V/cm is too large: the blockade term's"),
+            ("retrieval", ["--set", "source_means=0,8,0.5,4,1,2"],
+             "source_means must be sorted ascending"),
         ],
     )
     def test_bad_scan_input_exits_with_config_code(self, tmp_path, scan, args,

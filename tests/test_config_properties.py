@@ -27,10 +27,10 @@ _FLOAT_EXTREMES = ("0", "-1", "1e-30", "1e30", "1e-300", "1e300",
                    "nan", "inf", "-inf")
 # the sizes beyond int64 and a float where an int is due
 _INT_EXTREMES = ("0", "-1", str(2**63), "1" + "0" * 400, "1e30")
-# sizes that would allocate gigabytes, which the config bounds reject;
-# oracle_sets has no such bound and stays at the int extremes
+# sizes that would allocate gigabytes, which the config bounds reject
 _SIZE_EXTREMES = {
     "samples": ("1000000000",),
+    "oracle_sets": ("65537", "1000000000"),
     "spinwave_points": ("100000", "1000000000"),
     "retrieval_offsets": ("100000", "1000000000"),
     "field_points": ("65537", "1e9"),

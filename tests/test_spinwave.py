@@ -42,15 +42,26 @@ def _random_density(rng, dim):
     return rho / np.trace(rho).real
 
 
+def _kraus_channel(transmit, scatter):
+    """`PhotonChannel` of the complex amplitudes `transmit[..., p, g]` and
+    `scatter[..., p, s, g]`, stacked into its Kraus rows x."""
+    t, s = np.asarray(transmit), np.asarray(scatter)
+    n_paths, n_s, n = s.shape[-3:]
+    x = np.empty(s.shape[:-3] + (n, 2, n_paths, n_s + 1))
+    for part, take in enumerate((np.real, np.imag)):
+        x[..., part, :, 0] = np.swapaxes(take(t), -1, -2)
+        x[..., part, :, 1:] = np.moveaxis(take(s), -1, -3)
+    return PhotonChannel(x, ~x[..., 1, :, :].any(axis=(-3, -2, -1)))
+
+
 def _identity_channel(grid):
     n = grid.size
-    return PhotonChannel(transmit=np.ones((1, n)), scatter=np.zeros((1, 1, n)))
+    return _kraus_channel(np.ones((1, n)), np.zeros((1, 1, n)))
 
 
 def _dephasing_channel(grid):
     n = grid.size
-    return PhotonChannel(transmit=np.zeros((1, n)),
-                         scatter=np.eye(n, dtype=complex)[None])
+    return _kraus_channel(np.zeros((1, n)), np.eye(n, dtype=complex)[None])
 
 
 def channel_branches(rho, channel):
@@ -150,20 +161,19 @@ class TestUhlmannFidelity:
 class TestPhotonChannel:
     def test_completeness_enforced(self):
         with pytest.raises(NumericsError):
-            PhotonChannel(transmit=np.full((1, 5), 0.9),
-                          scatter=np.zeros((1, 1, 5)))
+            _kraus_channel(np.full((1, 5), 0.9), np.zeros((1, 1, 5)))
         # a (field, path, s, g) block, complete but for one bad column or
         # one NaN column
         rng = np.random.default_rng(3)
         scatter = rng.normal(size=(2, 3, 4, 5)) + 1j * rng.normal(size=(2, 3, 4, 5))
         scatter *= np.sqrt(0.5 / np.sum(np.abs(scatter) ** 2, axis=-2))[..., None, :]
         transmit = np.full((2, 3, 5), np.sqrt(0.5), dtype=complex)
-        PhotonChannel(transmit=transmit, scatter=scatter)
+        _kraus_channel(transmit, scatter)
         for bad in (1.001, np.nan):
             broken = scatter.copy()
             broken[1, 2, 0, 3] *= bad
             with pytest.raises(NumericsError):
-                PhotonChannel(transmit=transmit, scatter=broken)
+                _kraus_channel(transmit, broken)
 
     def test_constructed_channel_is_complete(self, setup):
         state = stored_spinwave(setup.geometry, n_points=101)
@@ -690,6 +700,18 @@ class TestPathBlocks:
         # one stacked product sums in another order than the paths' own:
         # 1.9e-15 apart at most as measured, with |D| <= 1
         assert np.max(np.abs(d - np.mean(singles, axis=0))) <= 4e-15
+
+    def test_amplitudes_restack_to_the_same_channel(self, setup, paths):
+        state, samples, fields = paths
+        ch = photon_channel(state.grid, setup.params, setup.interaction, fields,
+                            gate_offset=tuple(samples.gates[2, :2]),
+                            source_offset=samples.offsets,
+                            density_scale=samples.density_scales)
+        assert ch.phase_free.tolist() == [True, False]
+        again = _kraus_channel(ch.transmit, ch.scatter)
+        assert np.array_equal(again.phase_free, ch.phase_free)
+        for name in ("decoherence_matrix", "transmit", "scatter"):
+            assert np.array_equal(getattr(again, name), getattr(ch, name))
 
     def test_transverse_channels_on_a_field_grid(self, setup, paths):
         state, _, fields = paths
