@@ -14,7 +14,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -24,7 +23,7 @@ from .detection import count_window
 from .ensemble import ExperimentGeometry, PhotonStats
 from .errors import ConfigError
 from .interaction import InteractionParams, effective_c6
-from .presets import load_pair_system
+from .presets import load_pair_system, read_input_text
 from .propagation import R_MIN, PropagationParams
 from .spinwave import retrieval_work_bytes
 from .units import C_LIGHT, from_mhz, to_mhz
@@ -276,7 +275,7 @@ def load_config(
     values = dict(_DEFAULTS)
     shorthand = {}
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_input_text(path, "config file")
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -133,6 +133,18 @@ def parse_channel_file(text: str, source: str = "<string>"):
     return config, extras
 
 
+def read_input_text(path, what: str) -> str:
+    """The UTF-8 text of the input file at `path`; `ConfigError` naming
+    `what` and the path if it is not readable or not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {str(path)!r} is not UTF-8 text: "
+                          f"{exc.reason} at byte {exc.start}") from exc
+    except OSError as exc:
+        raise ConfigError(f"{what} {str(path)!r} cannot be read: {exc.strerror}") from exc
+
+
 def load_pair_system(name_or_path: str):
     """Load a bundled preset by name, or any channel file by path."""
     if name_or_path in PRESETS:
@@ -148,4 +160,4 @@ def load_pair_system(name_or_path: str):
             f"pair system {name_or_path!r} is neither a preset {PRESETS} "
             "nor an existing file"
         )
-    return parse_channel_file(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_channel_file(read_input_text(path, "pair system"), source=str(path))

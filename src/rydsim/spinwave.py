@@ -10,12 +10,14 @@ with the original stored mode, and the Uhlmann fidelity splits into
 transmitted and scattered branch contributions.  On the uniform grid the
 susceptibility is a column density times a kernel of the gate-scatterer
 separation alone, so a channel needs one chi row per source path.  A
-channel is always built for a block of source paths, on a field grid or
-at one field, as the stacked Kraus rows X = [t | scatter] of its paths,
-so its decoherence matrix is one real matrix product.  The retrieval
-pipeline builds each gate group's transport once for all its paths and
-keeps only the group's Poisson overlap row; the overlap weights are built
-once per stored state.
+channel is built one way only: for a block of source paths on a 1-D field
+grid, from the transport of its paths (`_path_transport`), as the stacked
+Kraus rows X = [t | scatter] of its paths with their real and imaginary
+parts apart, the imaginary ones zero at a field where X is real.  So its
+decoherence matrix is one real matrix product per field, and whether X
+is real is read from its rows.  The retrieval pipeline builds each gate
+group's transport once for all its paths and keeps only the group's
+Poisson overlap row; the overlap weights are built once per stored state.
 
 The per-element kernels avoid numpy's float64 sin and cos, which are
 scalar loops where its float64 tan is vectorised: a scatter amplitude is
@@ -105,31 +107,24 @@ class SpinWaveState:
 
 @dataclass(frozen=True)
 class PhotonChannel:
-    """Diagonal transmit/scatter Kraus family for a block of source paths,
-    held as its stacked Kraus rows.
+    """Diagonal transmit/scatter Kraus family for a block of source paths on
+    a field grid, held as its stacked Kraus rows.
 
-    Path p's Kraus row at gate grid point g is X[..., g, p, :] =
+    Path p's Kraus row at field f and gate grid point g is X[f, g, p, :] =
     [t(g) | scatter[:, g]]: its transmission amplitude, then its amplitudes
-    to scatter at each grid point s.  Any leading axes (a field grid) come
-    first.  `x[..., g, 0, p, :]` and `x[..., g, 1, p, :]` are the real and
-    imaginary parts of X, contiguous per leading index, so row g of x holds
-    all of X[g]'s real parts, then all its imaginary parts; `phase_free[...]`
-    is true where X is real, whose imaginary parts are then not read.
-    Completeness |t(g)|^2 + sum_s |scatter[s,g]|^2 = 1 holds per path and
-    column within 1e-6 (else `NumericsError`), and the channel is the
-    equal-weight mixture of its p paths.
+    to scatter at each grid point s.  `x`, of shape [field, g, 2, p, s + 1],
+    holds at `x[f, g, 0]` and `x[f, g, 1]` the real and imaginary parts of
+    X[f, g], so row g of x holds all of X[g]'s real parts, then all its
+    imaginary parts, which are zero where X is real.  Completeness
+    |t(g)|^2 + sum_s |scatter[s,g]|^2 = 1 holds per path and column within
+    1e-6 (else `NumericsError`), and the channel is the equal-weight mixture
+    of its p paths.
     """
 
     x: np.ndarray
-    phase_free: np.ndarray
 
     def __post_init__(self):
-        real = self.x[..., 0, :, :]
-        total = np.einsum("...k,...k->...", real, real)
-        for idx in np.ndindex(self.phase_free.shape):
-            if not self.phase_free[idx]:
-                imag = self.x[idx][:, 1]
-                total[idx] += np.einsum("...k,...k->...", imag, imag)
+        total = np.einsum("fgcpk,fgcpk->fgp", self.x, self.x)
         err = float(np.max(np.abs(total - 1.0)))
         if not np.isfinite(err) or err > 1e-6:
             raise NumericsError(f"Kraus completeness violated by {err:.3g}")
@@ -137,47 +132,45 @@ class PhotonChannel:
     @property
     def decoherence_matrix(self) -> np.ndarray:
         """D with rho_f = D * rho elementwise, the mean over the paths;
-        D[g,g] = 1.  Shape [..., g, g].
+        D[g,g] = 1.  Shape [field, g, g].
 
         D is A A^H / p, where row g of A is X[g] over all p paths, one
-        stacked product per leading index: Re D = Ar Ar^T + Ai Ai^T is one
-        symmetric product of the rows of x (Ar Ar^T alone for a phase-free
-        X), and Im D = M - M^T with M = Ai Ar^T.  So D is exactly
+        stacked product per field: Re D = Ar Ar^T + Ai Ai^T is one
+        symmetric product of the rows of x (Ar Ar^T alone where Ai is
+        zero), and Im D = M - M^T with M = Ai Ar^T.  So D is exactly
         Hermitian.
         """
-        x, phase_free = self.x, self.phase_free
-        n, _, n_paths = x.shape[-4:-1]
-        d = np.empty(x.shape[:-4] + (n, n), dtype=complex)
-        for idx in np.ndindex(d.shape[:-2]):
-            rows = x[idx].reshape(n, 2, -1)
+        x = self.x
+        n_fields, n, _, n_paths = x.shape[:4]
+        d = np.empty((n_fields, n, n), dtype=complex)
+        for k in range(n_fields):
+            rows = x[k].reshape(n, 2, -1)
             real, imag = rows[:, 0], rows[:, 1]
-            if phase_free[idx]:
-                d[idx].real = real @ real.T
-                d[idx].imag = 0.0
+            if not imag.any():
+                d[k].real = real @ real.T
+                d[k].imag = 0.0
                 continue
             rows = rows.reshape(n, -1)
-            d[idx].real = rows @ rows.T
+            d[k].real = rows @ rows.T
             m = imag @ real.T
-            np.subtract(m, m.T, out=d[idx].imag)
+            np.subtract(m, m.T, out=d[k].imag)
         d /= n_paths
         return d
 
     @property
     def transmit(self) -> np.ndarray:
-        """t(g) of each path as a new complex array, shape [..., p, g]."""
+        """t(g) of each path as a new complex array, shape [field, p, g]."""
         return self._read_back(lambda a: np.swapaxes(a[..., 0], -1, -2))
 
     @property
     def scatter(self) -> np.ndarray:
-        """Scatter amplitudes as a new complex array, shape [..., p, s, g]."""
+        """Scatter amplitudes as a new complex array, shape [field, p, s, g]."""
         return self._read_back(lambda a: np.moveaxis(a[..., 1:], -3, -1))
 
     def _read_back(self, arrange) -> np.ndarray:
-        out = np.empty(arrange(self.x[..., 0, :, :]).shape, dtype=complex)
-        out.real = arrange(self.x[..., 0, :, :])
-        imag = arrange(self.x[..., 1, :, :])
-        for idx in np.ndindex(self.phase_free.shape):
-            out[idx].imag = 0.0 if self.phase_free[idx] else imag[idx]
+        real, imag = (arrange(self.x[..., c, :, :]) for c in (0, 1))
+        out = np.empty(real.shape, dtype=complex)
+        out.real, out.imag = real, imag
         return out
 
 
@@ -254,60 +247,45 @@ def _path_transport(grid, params, interaction, fields, gate_offset, paths, scale
 def photon_channel(
     grid: np.ndarray,
     params: PropagationParams,
-    interaction: InteractionParams,
-    field,
-    gate_offset: Tuple[float, float] = (0.0, 0.0),
-    source_offset=(0.0, 0.0),
-    density_scale=1.0,
+    t: np.ndarray,
+    chi1: np.ndarray,
+    density_scale: np.ndarray,
     out: Optional[np.ndarray] = None,
-    transport: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> PhotonChannel:
-    """Channel for source photons passing a gate stored on `grid`.
+    """Channel of a block of source paths passing a gate stored on `grid`,
+    on a field grid, from the paths' transport.
 
-    The source line runs at `source_offset`; the gate sits transversally
-    at `gate_offset`.  Scattering amplitudes are distributed over the
+    `t` (shape [field, g, p]) and `chi1` (shape [field, p, n]) are the
+    transport of the block's p paths on a 1-D field grid, as
+    `_path_transport` returns it, and `density_scale` (shape [p]) the
+    paths' density scales.  Scattering amplitudes are distributed over the
     grid proportionally to the local scattering density Im chi(z_s; z_g),
     carrying the propagation phase accumulated up to z_s.
 
     `grid` must be uniform, its spacing equal to 1e-9 relative (as
     `stored_spinwave` builds it); otherwise `ValueError`.  On it chi(z_s;
     z_g) = scale * n(z_s) * chi1(|z_s - z_g|), the relative density times
-    chi at unit density, a function of the separation m*h alone.  So the
-    one `chi_values` call takes the n separations per field and path, and
-    each (g, s) table of weights and phases is read from that row through
-    a Toeplitz view.  A scatter amplitude is
+    chi at unit density, a function of the separation m*h alone.  So chi1
+    holds the n separations per field and path, and each (g, s) table of
+    weights and phases is read from that row through a Toeplitz view.  A
+    scatter amplitude is
     sqrt(clip(Im chi1))[|s - g|] * sqrt(u[s]) * sqrt(lost[g] / norm[g]),
     u the column density and norm[g] the sum over s of Im chi1 * u (one
     read-only pass over the Toeplitz view), so the n x n table takes two
-    passes.  Its phase factor comes from t = tan(phase / 2) by
+    passes.  Its phase factor comes from tan(phase / 2) by
     `_half_angle_rotate`, the 1/2 taken into the phase step.  A field whose
     chi1 has no real part and whose t is real (a purely dissipative V_ef)
-    gets real amplitudes and computes no phase.
+    gets real amplitudes, a zero imaginary half and computes no phase.
 
-    `field` is a scalar or a 1-D field grid, as in `transmission_batch`.
-    `source_offset` is a (p, 2) block of paths (bx, by), a single (bx, by)
-    being a block of one, with `density_scale` a scalar or one per path;
-    the channel is the mixture of the paths (see `PhotonChannel`), with x
-    of shape field.shape + (n, 2, p, n + 1).  The amplitudes are written
-    straight into that x.  `transport`, if given, is the `(t, chi1)` of
-    these paths (see `_path_transport`), which is then not recomputed;
-    otherwise every path and field is built in one `transmission_batch`
-    and one `chi_values` call.  `out`, if given, is a 1-D float work
-    array of at least 2 * fields * n * p * (n + 1) elements whose front
-    receives x.
+    The channel is the mixture of the paths (see `PhotonChannel`), with x
+    of shape [field, n, 2, p, n + 1], and the amplitudes are written
+    straight into that x.  `out`, if given, is a 1-D float work array of at
+    least 2 * fields * n * p * (n + 1) elements whose front receives x.
     """
     grid = np.asarray(grid, dtype=float)
     _grid_step(grid)
-    n = grid.size
-    fields = np.asarray(field, dtype=float)
-    paths = np.asarray(source_offset, dtype=float).reshape(-1, 2)
-    n_paths = paths.shape[0]
-    scale = np.broadcast_to(np.asarray(density_scale, dtype=float), (n_paths,))
-    if transport is None:
-        transport = _path_transport(grid, params, interaction, fields, gate_offset,
-                                    paths, scale)
-    t = transport[0].reshape(-1, n, n_paths)  # [field, g, path]
-    chi1 = transport[1].reshape(-1, n_paths, n)
+    n_fields, n_paths, n = chi1.shape
+    scale = np.asarray(density_scale, dtype=float)
     # |t| of a contiguous copy of a block's columns: numpy's abs takes another
     # loop on strided input, which can differ in the last bit
     lost = np.clip(1.0 - np.abs(np.ascontiguousarray(t)) ** 2, 0.0, None)
@@ -325,14 +303,12 @@ def photon_channel(
     u = scale[:, None] * (params.relative_density(grid) * np.gradient(grid))
     root_u = np.sqrt(u)
     half_step = u / (2.0 * params.c)
-    size = 2 * chi1.shape[0] * n * n_paths * (n + 1)
+    size = 2 * n_fields * n * n_paths * (n + 1)
     if out is None:
         out = np.empty(size)
-    x = out[:size].reshape(chi1.shape[0], n, 2, n_paths, n + 1)
-    phase_free = np.empty(chi1.shape[0], dtype=bool)
-    for k in range(chi1.shape[0]):
+    x = out[:size].reshape(n_fields, n, 2, n_paths, n + 1)
+    for k in range(n_fields):
         xr, xi = x[k, :, 0], x[k, :, 1]
-        phase_free[k] = not (chi1[k].real.any() or t[k].imag.any())
         xr[..., 0] = t[k].real
         # amplitude = sqrt(Im chi1[|s - g|] u[s] lost[g] / norm[g]), the
         # scattering weights normalised to the lost probability, as a
@@ -340,7 +316,8 @@ def photon_channel(
         norm = np.einsum("gps,ps->gp", im_table[k], u)
         amplitude = np.multiply(root_table[k], root_u, out=xr[..., 1:])
         amplitude *= np.sqrt(lost[k] / np.where(norm > 0, norm, 1.0))[..., None]
-        if phase_free[k]:
+        if not (chi1[k].real.any() or t[k].imag.any()):
+            xi[...] = 0.0  # real X: no phase
             continue
         xi[..., 0] = t[k].imag
         # half the cumulative propagation phase up to each scattering point,
@@ -348,8 +325,7 @@ def photon_channel(
         half = np.multiply(re_table[k], half_step, out=xi[..., 1:])
         np.cumsum(half, axis=-1, out=half)
         _half_angle_rotate(half, amplitude)
-    return PhotonChannel(x.reshape(fields.shape + x.shape[1:]),
-                         phase_free.reshape(fields.shape))
+    return PhotonChannel(x)
 
 
 def _psd_sqrt(rho: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -452,7 +428,7 @@ def transverse_channels(
     geometry: ExperimentGeometry,
     params: PropagationParams,
     interaction: InteractionParams,
-    field,
+    fields: np.ndarray,
     n_offsets: int,
     seed: int,
     source_means: Sequence[float],
@@ -464,13 +440,13 @@ def transverse_channels(
     independently, so a group's per-photon channel is the mean over its
     paths.  Each group's mean `decoherence_matrix` is reduced to its
     `poisson_overlap` row as soon as the group is built, so one group is
-    held at a time.  Returns `overlap` of shape field.shape + (n_offsets,
-    n_means) and `p_scatter` of shape field.shape + (n_offsets,), each
+    held at a time.  Returns `overlap` of shape (fields, n_offsets,
+    n_means) and `p_scatter` of shape (fields, n_offsets), each
     group's mean scatter probability in excess of the gate-free loss:
     photons lost to the gate-independent background carry no which-path
     information.
 
-    `field` is a scalar or a 1-D field grid.  A group's transport is built
+    `fields` is a 1-D field grid.  A group's transport is built
     once, for every path and field (`_path_transport`: one
     `transmission_batch` and one `chi_values` call); its paths then become
     channels `_PATH_BLOCK` at a time, for every field at once, by one
@@ -479,7 +455,7 @@ def transverse_channels(
     """
     rng = np.random.default_rng(seed)
     samples = sample_geometry(geometry, n_offsets, rng)
-    fields = np.asarray(field, dtype=float)
+    fields = np.asarray(fields, dtype=float)
     p_diag = np.real(np.diag(state.rho))
     n = state.grid.size
     baseline = eit_baseline(params, samples.density_scales).intensity
@@ -503,12 +479,8 @@ def transverse_channels(
         group[...] = 0.0
         for b in blocks:
             n_paths = b.stop - b.start
-            ch = photon_channel(
-                state.grid, params, interaction, fields, gate_offset=gate,
-                source_offset=samples.offsets[b],
-                density_scale=samples.density_scales[b],
-                out=work, transport=(t[..., b], chi1[..., b, :]),
-            )
+            ch = photon_channel(state.grid, params, t[..., b], chi1[..., b, :],
+                                samples.density_scales[b], out=work)
             d = ch.decoherence_matrix
             d *= n_paths / n_offsets
             group += d

@@ -24,16 +24,12 @@ from rydsim.propagation import (
     transmission_freq,
 )
 from rydsim.runner import run_experiment
-from rydsim.spinwave import (
-    PhotonChannel,
-    photon_channel,
-    stored_spinwave,
-    uhlmann_fidelity,
-)
+from rydsim.spinwave import stored_spinwave, uhlmann_fidelity
 from rydsim.units import C_LIGHT, from_mhz
 
 from test_interaction import _channel as _toy_channel
 from test_propagation import _resonant_interaction
+from test_spinwave import _path_channel
 
 
 from conftest import ACCEPTANCE_LINES
@@ -298,8 +294,8 @@ def test_criterion_7_retrieval_decay_and_collapse(retrieval_run, setup):
 def test_criterion_8_channel_math(setup, rng):
     """Kraus completeness to 1e-6 and the mixed-state overlap to 1e-8."""
     state = stored_spinwave(setup.geometry, n_points=151)
-    ch = photon_channel(state.grid, setup.params, setup.interaction,
-                        setup.resonance_field)
+    ch = _path_channel(state.grid, setup.params, setup.interaction,
+                       [setup.resonance_field])
     total = np.abs(ch.transmit) ** 2 + np.sum(np.abs(ch.scatter) ** 2, axis=-2)
     kraus_err = float(np.max(np.abs(total - 1.0)))
     kraus_ok = kraus_err <= 1e-6

@@ -61,10 +61,11 @@ def test_counted_parameters_exist(module, func, params):
 def test_counted_channel_bytes_are_readable(setup):
     # the tracer counts spinwave.channel_bytes as a photon_channel result's
     # transmit.nbytes + scatter.nbytes
-    from rydsim.spinwave import photon_channel, stored_spinwave
+    from rydsim.spinwave import stored_spinwave
+    from test_spinwave import _path_channel
 
     grid = stored_spinwave(setup.geometry, n_points=11).grid
-    ch = photon_channel(grid, setup.params, setup.interaction, setup.resonance_field)
+    ch = _path_channel(grid, setup.params, setup.interaction, [setup.resonance_field])
     assert ch.transmit.nbytes == 16 * 11
     assert ch.scatter.nbytes == 16 * 11 * 11
 

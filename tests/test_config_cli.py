@@ -411,10 +411,23 @@ class TestCli:
              "field_grid entry 1e+150 V/cm is too large: the blockade term's"),
             ("retrieval", ["--set", "source_means=0,8,0.5,4,1,2"],
              "source_means must be sorted ascending"),
+            # {inputs} is a directory of files that are not UTF-8
+            ("gain-scan", ["--config", "{inputs}/latin1.cfg"],
+             "config file '{inputs}/latin1.cfg' is not UTF-8 text"),
+            ("gain-scan", ["--set", "pair_system={inputs}/latin1.channels"],
+             "pair system '{inputs}/latin1.channels' is not UTF-8 text"),
+            ("gain-scan", ["--set", "pair_system={inputs}"],
+             "pair system '{inputs}' cannot be read"),
         ],
     )
     def test_bad_scan_input_exits_with_config_code(self, tmp_path, scan, args,
                                                    message):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        for name in ("latin1.cfg", "latin1.channels"):
+            (inputs / name).write_bytes("samples = 500  # \u00e9\n".encode("latin-1"))
+        args = [arg.replace("{inputs}", str(inputs)) for arg in args]
+        message = message.replace("{inputs}", str(inputs))
         runner = CliRunner()
         result = runner.invoke(main, [scan, *args, "--out", str(tmp_path)])
         assert result.exit_code == 2

@@ -43,31 +43,44 @@ def _random_density(rng, dim):
 
 
 def _kraus_channel(transmit, scatter):
-    """`PhotonChannel` of the complex amplitudes `transmit[..., p, g]` and
-    `scatter[..., p, s, g]`, stacked into its Kraus rows x."""
+    """`PhotonChannel` of the complex amplitudes `transmit[field, p, g]` and
+    `scatter[field, p, s, g]`, stacked into its Kraus rows x."""
     t, s = np.asarray(transmit), np.asarray(scatter)
-    n_paths, n_s, n = s.shape[-3:]
-    x = np.empty(s.shape[:-3] + (n, 2, n_paths, n_s + 1))
+    n_fields, n_paths, n_s, n = s.shape
+    x = np.empty((n_fields, n, 2, n_paths, n_s + 1))
     for part, take in enumerate((np.real, np.imag)):
-        x[..., part, :, 0] = np.swapaxes(take(t), -1, -2)
-        x[..., part, :, 1:] = np.moveaxis(take(s), -1, -3)
-    return PhotonChannel(x, ~x[..., 1, :, :].any(axis=(-3, -2, -1)))
+        x[:, :, part, :, 0] = np.swapaxes(take(t), -1, -2)
+        x[:, :, part, :, 1:] = np.moveaxis(take(s), -1, -3)
+    return PhotonChannel(x)
+
+
+def _path_channel(grid, params, interaction, fields, gate=(0.0, 0.0),
+                  paths=((0.0, 0.0),), scales=(1.0,), out=None):
+    """`photon_channel` of the source `paths` (shape (p, 2)) with density
+    `scales` past a gate at transverse offset `gate`, on the 1-D field grid
+    `fields`, from their `_path_transport`."""
+    fields = np.asarray(fields, dtype=float)
+    paths = np.asarray(paths, dtype=float)
+    scales = np.asarray(scales, dtype=float)
+    t, chi1 = spinwave._path_transport(grid, params, interaction, fields, gate,
+                                       paths, scales)
+    return photon_channel(grid, params, t, chi1, scales, out=out)
 
 
 def _identity_channel(grid):
     n = grid.size
-    return _kraus_channel(np.ones((1, n)), np.zeros((1, 1, n)))
+    return _kraus_channel(np.ones((1, 1, n)), np.zeros((1, 1, 1, n)))
 
 
 def _dephasing_channel(grid):
     n = grid.size
-    return _kraus_channel(np.zeros((1, n)), np.eye(n, dtype=complex)[None])
+    return _kraus_channel(np.zeros((1, 1, n)), np.eye(n, dtype=complex)[None, None])
 
 
 def channel_branches(rho, channel):
     """Unnormalized transmitted and scattered branches of the output state
     for a channel of one path at one field."""
-    (t,), (s,) = channel.transmit, channel.scatter
+    t, s = channel.transmit[0, 0], channel.scatter[0, 0]
     rho_p = np.outer(t, t.conj()) * rho
     rho_s = (s.T @ s.conj()) * rho
     return rho_p, rho_s
@@ -95,7 +108,7 @@ def _curve(state, decoherence, p_scatter, means, eta_base):
 def _group_matrices(state, setup, field, n_offsets, seed):
     """Each gate group's mean decoherence matrix and scatter excess for the
     samples `transverse_channels` draws, built one `photon_channel` per
-    source path at a scalar field."""
+    source path on a one-field grid."""
     samples = sample_geometry(setup.geometry, n_offsets, np.random.default_rng(seed))
     p_diag = np.real(np.diag(state.rho))
     n = state.grid.size
@@ -105,15 +118,11 @@ def _group_matrices(state, setup, field, n_offsets, seed):
         ds, excess = [], []
         for j in range(n_offsets):
             scale = float(samples.density_scales[j])
-            ch = photon_channel(
-                state.grid, setup.params, setup.interaction, field,
-                gate_offset=tuple(samples.gates[i, :2]),
-                source_offset=tuple(samples.offsets[j]),
-                density_scale=scale,
-            )
-            ds.append(ch.decoherence_matrix)
+            ch = _path_channel(state.grid, setup.params, setup.interaction, [field],
+                               samples.gates[i, :2], samples.offsets[j:j + 1], [scale])
+            ds.append(ch.decoherence_matrix[0])
             baseline = eit_baseline(setup.params, scale).intensity
-            lost = 1.0 - p_diag @ np.abs(ch.transmit[0]) ** 2
+            lost = 1.0 - p_diag @ np.abs(ch.transmit[0, 0]) ** 2
             excess.append(max(lost - (1.0 - baseline), 0.0))
         decoherence[i] = np.mean(ds, axis=0)
         p_scatter[i] = np.mean(excess)
@@ -161,7 +170,7 @@ class TestUhlmannFidelity:
 class TestPhotonChannel:
     def test_completeness_enforced(self):
         with pytest.raises(NumericsError):
-            _kraus_channel(np.full((1, 5), 0.9), np.zeros((1, 1, 5)))
+            _kraus_channel(np.full((1, 1, 5), 0.9), np.zeros((1, 1, 1, 5)))
         # a (field, path, s, g) block, complete but for one bad column or
         # one NaN column
         rng = np.random.default_rng(3)
@@ -177,16 +186,17 @@ class TestPhotonChannel:
 
     def test_constructed_channel_is_complete(self, setup):
         state = stored_spinwave(setup.geometry, n_points=101)
-        ch = photon_channel(state.grid, setup.params, setup.interaction,
-                            setup.resonance_field)
-        assert ch.transmit.shape == (1, 101) and ch.scatter.shape == (1, 101, 101)
+        ch = _path_channel(state.grid, setup.params, setup.interaction,
+                           [setup.resonance_field])
+        assert ch.transmit.shape == (1, 1, 101)
+        assert ch.scatter.shape == (1, 1, 101, 101)
         total = np.abs(ch.transmit) ** 2 + np.sum(np.abs(ch.scatter) ** 2, axis=-2)
         assert np.max(np.abs(total - 1.0)) < 1e-6
 
     def test_apply_preserves_trace_and_probability(self, setup):
         state = stored_spinwave(setup.geometry, n_points=101)
-        ch = photon_channel(state.grid, setup.params, setup.interaction,
-                            setup.resonance_field)
+        ch = _path_channel(state.grid, setup.params, setup.interaction,
+                           [setup.resonance_field])
         new, p_t, p_s = apply_channel(state, ch)
         assert p_t + p_s == pytest.approx(1.0, abs=1e-9)
         assert 0.0 < p_t < 1.0
@@ -210,8 +220,8 @@ class TestPhotonChannel:
 
     def test_repeated_photons_never_increase_fidelity(self, setup):
         state = stored_spinwave(setup.geometry, n_points=101)
-        ch = photon_channel(state.grid, setup.params, setup.interaction,
-                            setup.resonance_field)
+        ch = _path_channel(state.grid, setup.params, setup.interaction,
+                           [setup.resonance_field])
         fids = []
         current = state
         for _ in range(4):
@@ -223,8 +233,8 @@ class TestPhotonChannel:
         p_ts = []
         for n in (201, 401):
             state = stored_spinwave(setup.geometry, n_points=n)
-            ch = photon_channel(state.grid, setup.params, setup.interaction,
-                                setup.resonance_field)
+            ch = _path_channel(state.grid, setup.params, setup.interaction,
+                               [setup.resonance_field])
             _, p_t, _ = apply_channel(state, ch)
             p_ts.append(p_t)
         assert abs(p_ts[0] - p_ts[1]) < 1e-3
@@ -236,9 +246,8 @@ class TestDenseKernels:
     @pytest.fixture(scope="class")
     def off_axis(self, setup):
         state = stored_spinwave(setup.geometry, n_points=61)
-        ch = photon_channel(state.grid, setup.params, setup.interaction,
-                            setup.resonance_field, gate_offset=(1.5, -0.5),
-                            source_offset=(-2.0, 1.0), density_scale=0.8)
+        ch = _path_channel(state.grid, setup.params, setup.interaction,
+                           [setup.resonance_field], (1.5, -0.5), [(-2.0, 1.0)], [0.8])
         return state, ch
 
     @pytest.mark.parametrize("n", [61, 60], ids=["odd-n", "even-n"])
@@ -253,11 +262,11 @@ class TestDenseKernels:
         calls = _count_chi_calls(monkeypatch)
         grid = stored_spinwave(setup.geometry, n_points=n).grid
         field = setup.resonance_field if at_resonance else 0.0
-        ch = photon_channel(grid, setup.params, setup.interaction, field,
-                            gate_offset=gate, source_offset=source, density_scale=scale)
+        ch = _path_channel(grid, setup.params, setup.interaction, [field], gate,
+                           [source], [scale])
         assert calls == [1]
-        _assert_matches_dense_reference(ch.transmit[0], ch.scatter[0], grid, setup,
-                                        field, gate, source, scale)
+        _assert_matches_dense_reference(ch.transmit[0, 0], ch.scatter[0, 0], grid,
+                                        setup, field, gate, source, scale)
 
     def test_path_block_on_a_field_grid_matches_dense_row_reference(
             self, setup, monkeypatch):
@@ -266,9 +275,8 @@ class TestDenseKernels:
         samples = sample_geometry(setup.geometry, 3, np.random.default_rng(11))
         fields = np.array([setup.resonance_field, 0.0, 1.3])
         gate = tuple(samples.gates[0, :2])
-        ch = photon_channel(grid, setup.params, setup.interaction, fields,
-                            gate_offset=gate, source_offset=samples.offsets,
-                            density_scale=samples.density_scales)
+        ch = _path_channel(grid, setup.params, setup.interaction, fields, gate,
+                           samples.offsets, samples.density_scales)
         assert calls == [1]
         assert ch.scatter.shape == (3, 3, 60, 60)
         for k, field in enumerate(fields):
@@ -290,44 +298,49 @@ class TestDenseKernels:
         kw = dict(gate=(1.5, -0.5), source=(-2.0, 1.0), scale=0.8)
         # 5 MHz is outside the adiabatic regime, which transport reports
         with pytest.warns(UserWarning, match="omega = "):
-            ch = photon_channel(grid, setup.params, setup.interaction,
-                                setup.resonance_field, gate_offset=kw["gate"],
-                                source_offset=kw["source"], density_scale=kw["scale"])
-            _assert_matches_dense_reference(ch.transmit[0], ch.scatter[0], grid,
+            ch = _path_channel(grid, setup.params, setup.interaction,
+                               [setup.resonance_field], kw["gate"], [kw["source"]],
+                               [kw["scale"]])
+            _assert_matches_dense_reference(ch.transmit[0, 0], ch.scatter[0, 0], grid,
                                             setup, setup.resonance_field, **kw)
         assert ch.scatter.imag.any()
 
     def test_non_uniform_grid_raises(self, setup):
         grid = np.linspace(-80.0, 80.0, 61)
-        args = (setup.params, setup.interaction, setup.resonance_field)
+        args = (setup.params, setup.interaction, np.array([setup.resonance_field]))
         nudged = grid.copy()
         nudged[30] += 1e-11 * (grid[1] - grid[0])
-        photon_channel(nudged, *args)  # uniform to 1e-9 relative
+        _path_channel(nudged, *args)  # uniform to 1e-9 relative
         nudged[30] = grid[30] + 1e-6 * (grid[1] - grid[0])
         with pytest.raises(ValueError, match="uniform grid"):
-            photon_channel(nudged, *args)
+            _path_channel(nudged, *args)
+        # photon_channel checks its own grid, also given a uniform grid's transport
+        t, chi1 = spinwave._path_transport(grid, *args, (0.0, 0.0), np.zeros((1, 2)),
+                                           np.ones(1))
+        with pytest.raises(ValueError, match="uniform grid"):
+            photon_channel(nudged, setup.params, t, chi1, np.ones(1))
 
     def test_decoherence_matrix_matches_einsum(self, off_axis):
         _, ch = off_axis
-        (t,), (s,) = ch.transmit, ch.scatter
+        t, s = ch.transmit[0, 0], ch.scatter[0, 0]
         ref = np.outer(t, t.conj()) + np.einsum("sg,sh->gh", s, s.conj())
-        assert ch.decoherence_matrix.shape == (61, 61)
-        assert np.max(np.abs(ch.decoherence_matrix - ref)) <= 1e-12
+        assert ch.decoherence_matrix.shape == (1, 61, 61)
+        assert np.max(np.abs(ch.decoherence_matrix[0] - ref)) <= 1e-12
 
     def test_scattered_branch_is_decoherence_minus_transmitted(self, off_axis):
         state, ch = off_axis
-        t = ch.transmit[0]
+        t = ch.transmit[0, 0]
         rho_p, rho_s = channel_branches(state.rho, ch)
-        ref = (ch.decoherence_matrix - np.outer(t, t.conj())) * state.rho
+        ref = (ch.decoherence_matrix[0] - np.outer(t, t.conj())) * state.rho
         assert np.max(np.abs(rho_s - ref)) <= 1e-12
         assert np.max(np.abs(rho_p - np.outer(t, t.conj()) * state.rho)) <= 1e-15
 
     def test_generating_function_matches_truncated_poisson_sum(self, setup):
         state = stored_spinwave(setup.geometry, n_points=61)
         means = np.array([0.0, 0.5, 3.0, 20.0, 66.0, 140.0])
-        overlap, p_scatter = transverse_channels(
+        (overlap,), (p_scatter,) = transverse_channels(
             state, setup.geometry, setup.params, setup.interaction,
-            setup.resonance_field, n_offsets=3, seed=0, source_means=means,
+            np.array([setup.resonance_field]), n_offsets=3, seed=0, source_means=means,
         )
         n_scattered, efficiency = retrieval_efficiency_curve(
             overlap, p_scatter, means, _ETA_BASE)
@@ -489,18 +502,18 @@ class TestRetrievalCurve:
         state = stored_spinwave(setup.geometry, n_points=101)
         d = _identity_channel(state.grid).decoherence_matrix
         (n_scattered,), (efficiency,) = _curve(
-            state, d[None], np.zeros(1), [0.0], eta_base=_ETA_BASE,
+            state, d, np.zeros(1), [0.0], eta_base=_ETA_BASE,
         )
         assert efficiency == pytest.approx(_ETA_BASE, rel=1e-9)
         assert n_scattered == 0.0
 
     def test_monotone_decreasing_in_source_mean(self, setup):
         state = stored_spinwave(setup.geometry, n_points=101)
-        ch = photon_channel(state.grid, setup.params, setup.interaction,
-                            setup.resonance_field)
+        ch = _path_channel(state.grid, setup.params, setup.interaction,
+                           [setup.resonance_field])
         _, _, p_s = apply_channel(state, ch)
         _, effs = _curve(
-            state, ch.decoherence_matrix[None], np.array([p_s]),
+            state, ch.decoherence_matrix, np.array([p_s]),
             [0.0, 1.0, 4.0, 16.0, 64.0], eta_base=0.2,
         )
         assert all(b < a for a, b in zip(effs, effs[1:]))
@@ -528,12 +541,12 @@ class TestRetrievalCurve:
             geo = dataclasses.replace(
                 setup.geometry, cloud_half_length=mode_half_length)
             state = stored_spinwave(geo, n_points=n_points)
-            ch = photon_channel(state.grid, params, inter, 0.0)
+            ch = _path_channel(state.grid, params, inter, [0.0])
             # gamma_s = 0 makes the gate-free baseline 1, so every
             # scattered photon counts
             _, _, p_s = apply_channel(state, ch)
             n_scattered, efficiency = _curve(
-                state, ch.decoherence_matrix[None], np.array([p_s]), means,
+                state, ch.decoherence_matrix, np.array([p_s]), means,
                 eta_base=0.2,
             )
             base = efficiency[0]
@@ -552,10 +565,11 @@ class TestRetrievalCurve:
         means = [0.0, 2.0, 30.0]
         overlap, p_scatter = transverse_channels(
             state, setup.geometry, setup.params, setup.interaction,
-            setup.resonance_field, n_offsets=3, seed=0, source_means=means,
+            np.array([setup.resonance_field]), n_offsets=3, seed=0, source_means=means,
         )
-        assert overlap.shape == (3, 3)
-        assert p_scatter.shape == (3,)
+        assert overlap.shape == (1, 3, 3)
+        assert p_scatter.shape == (1, 3)
+        (overlap,), (p_scatter,) = overlap, p_scatter
         # no source photon leaves the stored mode whole, and more decohere it
         assert np.max(np.abs(overlap[:, 0] - 1.0)) <= 1e-12
         assert np.all(np.diff(overlap, axis=1) < 0.0) and np.all(overlap > 0.0)
@@ -574,12 +588,12 @@ class TestRetrievalCurve:
         groups = []
 
         def recording(state, decoherence, source_means):
-            groups.append(decoherence.copy())
+            groups.append(decoherence[0].copy())
             return poisson_overlap(state, decoherence, source_means)
 
         monkeypatch.setattr(spinwave, "poisson_overlap", recording)
-        overlap, p_scatter = transverse_channels(
-            state, setup.geometry, setup.params, setup.interaction, field,
+        (overlap,), (p_scatter,) = transverse_channels(
+            state, setup.geometry, setup.params, setup.interaction, np.array([field]),
             n_offsets=2, seed=7, source_means=means,
         )
         decoherence, excess = _group_matrices(state, setup, field, 2, 7)
@@ -600,7 +614,7 @@ class TestRetrievalCurve:
         try:
             transverse_channels(
                 state, setup.geometry, setup.params, setup.interaction,
-                setup.resonance_field, n_offsets=6, seed=0,
+                np.array([setup.resonance_field]), n_offsets=6, seed=0,
                 source_means=[0.0, 1.0, 10.0],
             )
             _, peak = tracemalloc.get_traced_memory()
@@ -661,29 +675,29 @@ class TestPathBlocks:
         return state, samples, np.array([setup.resonance_field, 0.0])
 
     def test_field_grid_matches_scalar_field_channels(self, setup, paths):
+        # a two-field grid against a grid of one field each
         state, samples, fields = paths
-        kw = dict(gate_offset=tuple(samples.gates[0, :2]),
-                  source_offset=tuple(samples.offsets[0]),
-                  density_scale=float(samples.density_scales[0]))
-        ch = photon_channel(state.grid, setup.params, setup.interaction, fields, **kw)
+        args = (tuple(samples.gates[0, :2]), samples.offsets[:1],
+                samples.density_scales[:1])
+        ch = _path_channel(state.grid, setup.params, setup.interaction, fields, *args)
         assert ch.transmit.shape == (2, 1, 61)
         assert ch.scatter.shape == (2, 1, 61, 61)
         d = ch.decoherence_matrix
         for k, field in enumerate(fields):
-            one = photon_channel(state.grid, setup.params, setup.interaction,
-                                 float(field), **kw)
-            assert one.transmit.shape == (1, 61) and one.scatter.shape == (1, 61, 61)
-            assert one.decoherence_matrix.shape == (61, 61)
-            assert np.array_equal(ch.transmit[k], one.transmit)
-            assert np.array_equal(ch.scatter[k], one.scatter)
-            assert np.array_equal(d[k], one.decoherence_matrix)
+            one = _path_channel(state.grid, setup.params, setup.interaction,
+                                fields[k:k + 1], *args)
+            assert one.transmit.shape == (1, 1, 61)
+            assert one.scatter.shape == (1, 1, 61, 61)
+            assert one.decoherence_matrix.shape == (1, 61, 61)
+            assert np.array_equal(ch.transmit[k], one.transmit[0])
+            assert np.array_equal(ch.scatter[k], one.scatter[0])
+            assert np.array_equal(d[k], one.decoherence_matrix[0])
 
     def test_mixture_is_the_mean_of_its_paths(self, setup, paths):
         state, samples, fields = paths
-        args = (state.grid, setup.params, setup.interaction, fields)
-        gate = tuple(samples.gates[1, :2])
-        mix = photon_channel(*args, gate_offset=gate, source_offset=samples.offsets,
-                             density_scale=samples.density_scales)
+        args = (state.grid, setup.params, setup.interaction, fields,
+                tuple(samples.gates[1, :2]))
+        mix = _path_channel(*args, samples.offsets, samples.density_scales)
         assert mix.transmit.shape == (2, 3, 61)
         assert mix.scatter.shape == (2, 3, 61, 61)
         d = mix.decoherence_matrix
@@ -691,9 +705,8 @@ class TestPathBlocks:
         assert np.array_equal(d, np.conj(np.swapaxes(d, -1, -2)))
         singles = []
         for j in range(3):
-            one = photon_channel(*args, gate_offset=gate,
-                                 source_offset=tuple(samples.offsets[j]),
-                                 density_scale=float(samples.density_scales[j]))
+            one = _path_channel(*args, samples.offsets[j:j + 1],
+                                samples.density_scales[j:j + 1])
             assert np.array_equal(mix.transmit[:, j], one.transmit[:, 0])
             assert np.array_equal(mix.scatter[:, j], one.scatter[:, 0])
             singles.append(one.decoherence_matrix)
@@ -703,15 +716,28 @@ class TestPathBlocks:
 
     def test_amplitudes_restack_to_the_same_channel(self, setup, paths):
         state, samples, fields = paths
-        ch = photon_channel(state.grid, setup.params, setup.interaction, fields,
-                            gate_offset=tuple(samples.gates[2, :2]),
-                            source_offset=samples.offsets,
-                            density_scale=samples.density_scales)
-        assert ch.phase_free.tolist() == [True, False]
+        ch = _path_channel(state.grid, setup.params, setup.interaction, fields,
+                           tuple(samples.gates[2, :2]), samples.offsets,
+                           samples.density_scales)
+        # real at the resonance field, complex at zero field
+        assert [bool(ch.x[k, :, 1].any()) for k in range(2)] == [False, True]
         again = _kraus_channel(ch.transmit, ch.scatter)
-        assert np.array_equal(again.phase_free, ch.phase_free)
+        assert np.array_equal(again.x, ch.x)
         for name in ("decoherence_matrix", "transmit", "scatter"):
             assert np.array_equal(getattr(again, name), getattr(ch, name))
+
+    def test_real_field_writes_a_zero_imaginary_half(self, setup, paths):
+        # a reused work array holds whatever the last block left in it
+        state, samples, fields = paths
+        n = state.grid.size
+        work = np.full(2 * fields.size * n * 3 * (n + 1), np.nan)
+        ch = _path_channel(state.grid, setup.params, setup.interaction, fields,
+                           tuple(samples.gates[0, :2]), samples.offsets,
+                           samples.density_scales, out=work)
+        assert np.shares_memory(ch.x, work)
+        assert not np.isnan(ch.x).any()
+        assert np.array_equal(ch.x[0, :, 1], np.zeros_like(ch.x[0, :, 1]))
+        assert ch.x[1, :, 1].any()
 
     def test_transverse_channels_on_a_field_grid(self, setup, paths):
         state, _, fields = paths
@@ -722,16 +748,15 @@ class TestPathBlocks:
                                          source_means=means)
         assert overlap.shape == (2, 4, 4) and p.shape == (2, 4)
         for k, field in enumerate(fields):
-            overlap_k, p_k = transverse_channels(*args, float(field), n_offsets=4,
+            overlap_k, p_k = transverse_channels(*args, fields[k:k + 1], n_offsets=4,
                                                  seed=3, source_means=means)
-            assert overlap_k.shape == (4, 4) and p_k.shape == (4,)
-            assert np.array_equal(overlap[k], overlap_k)
-            assert np.array_equal(p[k], p_k)
+            assert overlap_k.shape == (1, 4, 4) and p_k.shape == (1, 4)
+            assert np.array_equal(overlap[k], overlap_k[0])
+            assert np.array_equal(p[k], p_k[0])
             d_k, excess_k = _group_matrices(state, setup, float(field), 4, 3)
             ref = poisson_overlap(state, d_k, means)
-            assert np.max(np.abs(overlap_k - ref)) <= 1e-13 * np.max(np.abs(ref))
-            assert np.max(np.abs(p_k - excess_k)) <= 1e-15
-
+            assert np.max(np.abs(overlap_k[0] - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.max(np.abs(p_k[0] - excess_k)) <= 1e-15
 
 def _single_path_channel(grid, params, interaction, field, gate, source, scale):
     """Transmission and scatter amplitudes of one source path, as
