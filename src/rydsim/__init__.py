@@ -21,8 +21,8 @@ from .ensemble import (
 from .interaction import InteractionParams, blockade_radius
 from .propagation import (
     PropagationParams,
-    TransmissionResult,
     eit_baseline,
+    intensity,
     transmission_freq,
     transmission_time_oracle,
 )

@@ -9,6 +9,7 @@ reference setup.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 import math
@@ -343,6 +344,13 @@ class SimulationSetup:
             )
         return roots[0][0]
 
+    @property
+    def retrieval_field(self) -> float:
+        """The retrieval scan's field: `retrieval_field`, or the first
+        resonance where that is < 0."""
+        field = self.config.retrieval_field
+        return self.resonance_field if field < 0 else field
+
     def default_field_grid(self) -> np.ndarray:
         res = self.resonance_field
         if res > 0.4:
@@ -430,39 +438,6 @@ def build_setup(config: RunConfig) -> SimulationSetup:
             stacklevel=2,
         )
     interaction = InteractionParams(gamma_p=extras["gamma_p"], channels=channels)
-    # the blockade kernel squares a = Omega^2/C6, which grows with the
-    # detuning (far detuned, C6 ~ -sum c3^2/omega at every field); it is
-    # checked at zero field and at each field of an explicit grid, whose
-    # Förster defects square the field
-    fields = np.array([0.0, *config.field_grid])
-    with np.errstate(all="ignore"):
-        c6 = np.broadcast_to(effective_c6(params.omega, fields, interaction), fields.shape)
-        a = np.abs(omega_rabi**2 / np.where(c6 != 0.0, c6, np.inf))  # 0 where C6 = 0
-        defects = [forster_defect(ch, fields) for ch in pair.channels]
-    for k, (field, a_k, *defect) in enumerate(zip(fields.tolist(), a.tolist(), *defects)):
-        if not all(map(math.isfinite, defect)):
-            raise ConfigError(
-                f"a channel's Förster defect at {field:g} V/cm is not finite"
-            )
-        if not math.isfinite(a_k * a_k):
-            cause = (f"omega = {params.omega:g} rad/us" if k == 0
-                     else f"field_grid entry {field:g} V/cm")
-            raise ConfigError(f"{cause} is too large: the blockade term's "
-                              f"|Omega^2/C6| = {a_k:g} overflows when squared")
-    # Omega^2 divides the EIT term of chi, g^2 (omega + i gamma_s) / Omega^2.
-    # The scans sum that term over the cloud, where it must stay finite, and
-    # numpy divides by Omega^2 through its reciprocal, which must too; the
-    # larger of the two bounds is checked.  (eit_baseline's exponent also
-    # divides by c: a small speed_of_light is left to the scans' checks.)
-    omega_sq = omega_rabi * omega_rabi
-    eit = (g_peak**2 * float(params.effective_length)
-           * math.hypot(params.omega, params.gamma_s))
-    if omega_sq == 0.0 or not math.isfinite(max(eit, 1.0) / omega_sq):
-        raise ConfigError(
-            f"omega_rabi = {omega_rabi:g} rad/us is too small: the cloud's "
-            f"EIT term g^2 L |omega + i gamma_s| / Omega^2 = {eit:g} / "
-            f"{omega_sq:g} overflows"
-        )
     stats = PhotonStats(
         gate_mean_in=config.gate_mean_in,
         source_rate=config.source_rate,
@@ -479,16 +454,66 @@ def build_setup(config: RunConfig) -> SimulationSetup:
         stats=stats,
         config=config,
     )
-    # the gain and fidelity scans hold every field's complex amplitudes
-    # for every sample in one table
+    # the fields the scan runs at: zero field, its field grid (a gain or
+    # fidelity scan's default one if none is given) and a retrieval field
+    grid = config.field_grid
     if config.scan in ("gain-scan", "fidelity-scan"):
-        n_fields = len(config.field_grid) or setup.default_field_grid().size
-        table_bytes = 16 * n_fields * config.samples
+        grid = grid or setup.default_field_grid().tolist()
+        # the scan holds every field's complex amplitudes for every sample
+        # in one table
+        table_bytes = 16 * len(grid) * config.samples
         if table_bytes > _MAX_TRANSPORT_TABLE_BYTES:
             raise ConfigError(
-                f"{config.scan} transport table of {n_fields} fields x "
+                f"{config.scan} transport table of {len(grid)} fields x "
                 f"{config.samples} samples takes {table_bytes / 2**30:.3g} GiB, "
                 f"above the {_MAX_TRANSPORT_TABLE_BYTES / 2**30:g} GiB limit; "
                 "lower samples or the field grid's points"
             )
+    extra = [setup.retrieval_field] if config.scan == "retrieval" else []
+    _check_blockade_fields(setup, np.array([0.0, *grid, *extra]))
+    # Omega^2 divides the EIT term of chi, g^2 (omega + i gamma_s) / Omega^2.
+    # The scans sum that term over the cloud, where it must stay finite, and
+    # numpy divides by Omega^2 through its reciprocal, which must too; the
+    # larger of the two bounds is checked.  (eit_baseline's exponent also
+    # divides by c: a small speed_of_light is left to the scans' checks.)
+    omega_sq = omega_rabi * omega_rabi
+    eit = (g_peak**2 * float(params.effective_length)
+           * math.hypot(params.omega, params.gamma_s))
+    if omega_sq == 0.0 or not math.isfinite(max(eit, 1.0) / omega_sq):
+        raise ConfigError(
+            f"omega_rabi = {omega_rabi:g} rad/us is too small: the cloud's "
+            f"EIT term g^2 L |omega + i gamma_s| / Omega^2 = {eit:g} / "
+            f"{omega_sq:g} overflows"
+        )
     return setup
+
+
+def _check_blockade_fields(setup: SimulationSetup, fields: np.ndarray) -> None:
+    """Reject a field (the first is zero) where a channel's Förster defect
+    or C6 is not finite, or where the blockade kernel's square of
+    a = Omega^2/C6 overflows."""
+    params, interaction = setup.params, setup.interaction
+    # a grows with the detuning (far detuned, C6 ~ -sum c3^2/omega at every
+    # field); the Förster defects square the field
+    with np.errstate(all="ignore"):
+        c6 = np.broadcast_to(effective_c6(params.omega, fields, interaction), fields.shape)
+        a = np.abs(params.omega_rabi**2 / np.where(c6 != 0.0, c6, np.inf))  # 0 where C6 = 0
+        defects = [forster_defect(ch, fields) for ch in setup.pair.channels]
+    for k, (field, c6_k, a_k, *defect) in enumerate(
+            zip(fields.tolist(), c6.tolist(), a.tolist(), *defects)):
+        if not all(map(math.isfinite, defect)):
+            raise ConfigError(
+                f"a channel's Förster defect at {field:g} V/cm is not finite"
+            )
+        # with every c3^2 finite, only a pole of V_ef makes C6 overflow
+        if not cmath.isfinite(c6_k):
+            raise ConfigError(
+                f"C6 = {c6_k} at {field:g} V/cm is not finite: V_ef has a pole "
+                f"there, where a channel's Förster defect meets omega with "
+                f"gamma_p = {interaction.gamma_p:g} rad/us"
+            )
+        if not math.isfinite(a_k * a_k):
+            cause = (f"omega = {params.omega:g} rad/us" if k == 0
+                     else f"field_grid entry {field:g} V/cm")
+            raise ConfigError(f"{cause} is too large: the blockade term's "
+                              f"|Omega^2/C6| = {a_k:g} overflows when squared")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .atomic_states import PairConfig
 from .interaction import InteractionParams
-from .propagation import PropagationParams, eit_baseline, transmission_batch
+from .propagation import PropagationParams, eit_baseline, intensity, transmission_batch
 
 # Half-width (V/cm) of the boxcar modelling the experimental field resolution.
 _FIELD_RESOLUTION = 2.0e-3
@@ -118,32 +118,31 @@ def sample_intensities(
     geometry: ExperimentGeometry,
     params: PropagationParams,
     interaction: InteractionParams,
-    field: float | np.ndarray,
+    fields: np.ndarray,
     n_samples: int,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample intensities `(i0, table)` of one seeded geometry draw:
-    gate-free `i0` (n,) in closed form, and the gated `table`, (n,) for a
-    scalar field or (n_fields, n) for a field grid, in one call.
+    gate-free `i0` (n,) in closed form, and the gated `table`
+    (n_fields, n) on the 1-D field grid `fields`, in one call.
 
-    The table is min(|t|^2, 1) of the `transmission_batch` amplitudes,
+    The table is `intensity` of the `transmission_batch` amplitudes,
     written over the front half of each row of their buffer: a view with
     rows 2n floats apart, so a scan holds one fields x samples table."""
     samples = sample_geometry(geometry, n_samples, np.random.default_rng(seed))
-    i0 = eit_baseline(params, samples.density_scales).intensity
+    i0 = intensity(eit_baseline(params, samples.density_scales))
     amps = transmission_batch(samples.offsets, samples.gates, params, interaction,
-                              field, density_scale=samples.density_scales)
-    rows = amps.reshape(-1, amps.shape[-1])
-    table = rows.view(float)[:, : rows.shape[1]]
+                              fields, density_scale=samples.density_scales)
+    table = amps.view(float)[:, : amps.shape[1]]
     # |t| goes through a separate row buffer: numpy evaluates an abs whose
     # output overlaps its input in a scalar loop that can differ from its
     # vector loop in the last bit
-    row = np.empty(rows.shape[1])
-    for amp, out in zip(rows, table):
+    row = np.empty(amps.shape[1])
+    for amp, out in zip(amps, table):
         out[...] = np.abs(amp, out=row)
     np.square(table, out=table)
     np.minimum(table, 1.0, out=table)
-    return i0, table.reshape(amps.shape)
+    return i0, table
 
 
 def optical_gain(t0: float, t1: float, stats: PhotonStats) -> float:

@@ -38,7 +38,9 @@ cell-local, so `transmission_time_oracle` reduces it to one small solve
 per cell and a product along the cloud, in place of stepping a long
 pulse until it settles.
 
-Both reference solvers use numpy alone, as every pipeline does.
+Every solver returns bare complex amplitudes, and `intensity` is the one
+clip of any of them to a transmission.  Both reference solvers use numpy
+alone, as every pipeline does.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -147,15 +149,10 @@ class PropagationParams:
         return 2.0 * self.cloud_half_length
 
 
-@dataclass(frozen=True)
-class TransmissionResult:
-    """Transmitted amplitude (scalar or per sample) and its intensity."""
-
-    amplitude: complex | np.ndarray
-
-    @property
-    def intensity(self) -> float | np.ndarray:
-        return np.minimum(np.abs(self.amplitude) ** 2, 1.0)
+def intensity(amplitude):
+    """Transmitted intensity |t|^2 of a scalar or array amplitude, clipped
+    at 1 against roundoff."""
+    return np.minimum(np.abs(amplitude) ** 2, 1.0)
 
 
 def _check_validity(params: PropagationParams, gamma_p: float = 0.0) -> None:
@@ -227,11 +224,9 @@ def _blockade_kernel(w, beta, a: complex, q=None, v=None):
     return np.divide(w, den, out=q), v
 
 
-def eit_baseline(
-    params: PropagationParams, density_scale: float | np.ndarray = 1.0
-) -> TransmissionResult:
-    """Transmission with no gate present (closed form); `density_scale`
-    may be scalar or per-sample."""
+def eit_baseline(params: PropagationParams, density_scale=1.0):
+    """Transmitted amplitude with no gate present (closed form): a scalar,
+    or one per entry of a per-sample `density_scale`."""
     _check_validity(params)
     exponent = (
         1j
@@ -242,39 +237,34 @@ def eit_baseline(
         * (params.omega + 1j * params.gamma_s)
         / params.omega_rabi**2
     )
-    return TransmissionResult(amplitude=np.exp(exponent))
+    return np.exp(exponent)
 
 
 def transmission_freq(
     path_offset,
     gate_position,
     params: PropagationParams,
-    interaction: Optional[InteractionParams] = None,
+    interaction: InteractionParams,
     field: float = 0.0,
     density_scale: float = 1.0,
     rtol: float = 1e-6,
-) -> TransmissionResult:
-    """Transmission along the axis-parallel line at transverse offset b.
+) -> complex:
+    """Transmitted amplitude along the axis-parallel line at transverse
+    offset `path_offset` = (bx, by) (um), past a gate at the 3D point
+    `gate_position`.
 
-    `path_offset` is (bx, by) in um (a scalar is taken as bx); the gate
-    sits at the 3D point `gate_position`.  The complex exponent is
-    integrated by adaptive Gauss-Legendre quadrature (`_adaptive_integral`)
-    with relative tolerance `rtol`, with breakpoints at the gate, 20 um
-    either side of it, where the R_MIN clamp sets in and at the edges of a
-    uniform slab.
+    The complex exponent is integrated by adaptive Gauss-Legendre
+    quadrature (`_adaptive_integral`) with relative tolerance `rtol`, with
+    breakpoints at the gate, 20 um either side of it, where the R_MIN clamp
+    sets in and at the edges of a uniform slab.  An `interaction` with no
+    channels has C6 = 0, so the gate adds no term and no breakpoint: that
+    is the gate-free transmission `eit_baseline` gives in closed form.
     """
-    gamma_p = interaction.gamma_p if interaction is not None else 0.0
-    _check_validity(params, gamma_p)
-    b = np.atleast_1d(np.asarray(path_offset, dtype=float))
-    bx, by = (b[0], b[1]) if b.size >= 2 else (b[0], 0.0)
-
-    pref = 0.0 + 0.0j
-    gate_z = 0.0
-    t_dist_sq = 0.0
-    if gate_position is not None and interaction is not None:
-        gx, gy, gate_z = (float(v) for v in gate_position)
-        t_dist_sq = (bx - gx) ** 2 + (by - gy) ** 2
-        pref = effective_c6(params.omega, field, interaction)
+    _check_validity(params, interaction.gamma_p)
+    bx, by = (float(v) for v in path_offset)
+    gx, gy, gate_z = (float(v) for v in gate_position)
+    t_dist_sq = (bx - gx) ** 2 + (by - gy) ** 2
+    pref = effective_c6(params.omega, field, interaction)
 
     def integrand(z):
         return chi_values(z, params, pref, gate_z, t_dist_sq, density_scale)
@@ -292,7 +282,7 @@ def transmission_freq(
             edges += [gate_z - kink, gate_z + kink]
     edges = np.unique(np.clip(edges, -span, span))
     integral = _adaptive_integral(integrand, edges, rtol)
-    return TransmissionResult(amplitude=np.exp(1j * integral / params.c))
+    return np.exp(1j * integral / params.c)
 
 
 @functools.cache
@@ -438,18 +428,18 @@ def transmission_batch(
     gate_positions: np.ndarray,
     params: PropagationParams,
     interaction: InteractionParams,
-    field: float | np.ndarray = 0.0,
+    fields: np.ndarray,
     density_scale=1.0,
 ) -> np.ndarray:
-    """Vectorized transmitted amplitudes for many (offset, gate) samples.
+    """Vectorized transmitted amplitudes for many (offset, gate) samples
+    on a field grid.
 
     `offsets` has shape (n, 2) and `gate_positions` shape (n, 3);
-    `density_scale` may be scalar or per-sample.  `field` is a scalar,
-    giving amplitudes of shape (n,), or a 1-D field grid, giving shape
-    (n_fields, n).  Each amplitude is `eit_baseline` times the blockade
-    factor, a Gauss-Legendre sum on the fixed panels of `_gate_panels`
-    about each gate; it lies within 1e-5 of `transmission_freq` at
-    rtol=1e-10 in the test suite.
+    `density_scale` may be scalar or per-sample.  `fields` is a 1-D field
+    grid, and the amplitudes have shape (n_fields, n).  Each amplitude is
+    `eit_baseline` times the blockade factor, a Gauss-Legendre sum on the
+    fixed panels of `_gate_panels` about each gate; it lies within 1e-5 of
+    `transmission_freq` at rtol=1e-10 in the test suite.
 
     The field enters only through the scalar `effective_c6`, so every
     field's a = Omega^2/C is computed before the loop, and the real
@@ -469,9 +459,9 @@ def transmission_batch(
     offsets = np.asarray(offsets, dtype=float)
     n = offsets.shape[0]
     scale = np.broadcast_to(np.asarray(density_scale, dtype=float), (n,))
-    fields = np.asarray(field, dtype=float)
-    if fields.ndim > 1:
-        raise ValueError("field must be a scalar or a 1-D field grid")
+    fields = np.asarray(fields, dtype=float)
+    if fields.ndim != 1:
+        raise ValueError("fields must be a 1-D field grid")
     gate_positions = np.asarray(gate_positions, dtype=float)
     gate_z = gate_positions[:, 2]
     t_dist_sq = (offsets[:, 0] - gate_positions[:, 0]) ** 2 + (
@@ -479,8 +469,8 @@ def transmission_batch(
     ) ** 2
 
     field_a = []  # (field index, a) of every field with a blockade term
-    for k, f in enumerate(fields.reshape(-1)):
-        c6 = effective_c6(params.omega, float(f), interaction)
+    for k, f in enumerate(fields.tolist()):
+        c6 = effective_c6(params.omega, f, interaction)
         if c6 != 0.0:
             field_a.append((k, complex(params.omega_rabi**2 / c6)))
     points = _gate_panels(params.z_extent, 0.0, _slab(params))[0].shape[1]
@@ -495,8 +485,8 @@ def transmission_batch(
     amps = np.multiply(1j, blockade, out=blockade)
     np.divide(amps, params.c, out=amps)
     np.exp(amps, out=amps)
-    np.multiply(eit_baseline(params, scale).amplitude, amps, out=amps)
-    return amps if fields.ndim else amps[0]
+    np.multiply(eit_baseline(params, scale), amps, out=amps)
+    return amps
 
 
 def _expm(a):
@@ -526,8 +516,8 @@ def _expm(a):
 
 
 def _oracle_set(params: PropagationParams, interaction: InteractionParams,
-                gate_z: float, field: float):
-    """Cell step blocks of one oracle parameter set.
+                gate_z: float):
+    """Cell step blocks of one oracle parameter set, at zero field.
 
     Returns `(blocks, g_local, dt)`: `blocks` is the (n_z, m, m + 1)
     [atomic propagator | photon drive column] of each cell's step, a view
@@ -566,7 +556,7 @@ def _oracle_set(params: PropagationParams, interaction: InteractionParams,
         v = ch.coupling / sep_cubed
         a[:, 1, 2 + k] = -1j * v
         a[:, 2 + k, 1] = -1j * v
-        a[:, 2 + k, 2 + k] = -interaction.gamma_p - 1j * forster_defect(ch, field)
+        a[:, 2 + k, 2 + k] = -interaction.gamma_p - 1j * forster_defect(ch, 0.0)
     a[:, 0, m] = -1j * g_local  # photon drive column
     a *= dt
     return _expm(a)[:, :m], g_local, dt
@@ -574,9 +564,9 @@ def _oracle_set(params: PropagationParams, interaction: InteractionParams,
 
 def transmission_time_oracle(
     sets: Sequence[tuple[PropagationParams, InteractionParams, float]],
-    field: float = 0.0,
-) -> list[TransmissionResult]:
-    """Steady-state transmissions from the time-domain coupled amplitudes.
+) -> np.ndarray:
+    """Steady-state transmitted amplitudes from the time-domain coupled
+    amplitudes, at zero field.
 
     Each of `sets` is `(params, interaction, gate_z)`: the four coupled
     fields (photon, P, S, and one gate-source P-pair amplitude per channel
@@ -597,18 +587,17 @@ def transmission_time_oracle(
 
     and the transmitted amplitude is the last cell's e, one batched solve
     and one product per set.  Nothing is time-stepped, so the result does
-    not depend on a run length.  Returns one result per set.
+    not depend on a run length.  Returns one complex amplitude per set.
 
     Sets are built and solved one at a time; a set over the size bound of
     `_oracle_set` fails before its propagators are built.
     """
-    results = []
-    for params, inter, gate_z in sets:
-        blocks, g_local, dt = _oracle_set(params, inter, gate_z, field)
+    amps = np.empty(len(sets), dtype=complex)
+    for k, (params, inter, gate_z) in enumerate(sets):
+        blocks, g_local, dt = _oracle_set(params, inter, gate_z)
         m = blocks.shape[1]
         q = np.exp(-1j * params.omega * dt)
         rho = np.linalg.solve(q * np.eye(m) - blocks[:, :, :m], blocks[:, :, m:])
         h = 0.5 * dt * (-1j * g_local) * rho[:, 0, 0]
-        amp = np.prod((1.0 + h[:-1]) / (q - h[1:]))
-        results.append(TransmissionResult(amplitude=complex(amp)))
-    return results
+        amps[k] = np.prod((1.0 + h[:-1]) / (q - h[1:]))
+    return amps

@@ -46,6 +46,7 @@ from .propagation import (
     PropagationParams,
     chi_values,
     eit_baseline,
+    intensity,
     transmission_batch,
 )
 
@@ -458,7 +459,7 @@ def transverse_channels(
     fields = np.asarray(fields, dtype=float)
     p_diag = np.real(np.diag(state.rho))
     n = state.grid.size
-    baseline = eit_baseline(params, samples.density_scales).intensity
+    baseline = intensity(eit_baseline(params, samples.density_scales))
     blocks = [slice(lo, min(lo + _PATH_BLOCK, n_offsets))
               for lo in range(0, n_offsets, _PATH_BLOCK)]
     work = np.empty(2 * fields.size * n * blocks[0].stop * (n + 1))
@@ -471,10 +472,10 @@ def transverse_channels(
                                   samples.offsets, samples.density_scales)
         # each path's intensity over the gate points as a contiguous row, so
         # its dot product with p_diag sums as it did per path
-        intensity = np.ascontiguousarray(np.swapaxes(np.abs(t) ** 2, -1, -2))
-        for idx in np.ndindex(intensity.shape[:-1]):
+        t_sq = np.ascontiguousarray(np.swapaxes(np.abs(t) ** 2, -1, -2))
+        for idx in np.ndindex(t_sq.shape[:-1]):
             j = idx[-1]
-            lost = 1.0 - float(p_diag @ intensity[idx])
+            lost = 1.0 - float(p_diag @ t_sq[idx])
             excess[idx[:-1] + (i, j)] = max(lost - (1.0 - baseline[j]), 0.0)
         group[...] = 0.0
         for b in blocks:

@@ -20,7 +20,7 @@ from rydsim.errors import NumericsError
 from rydsim.interaction import InteractionParams, effective_c6
 from rydsim.propagation import (
     PropagationParams,
-    eit_baseline,
+    intensity,
     transmission_freq,
 )
 from rydsim.runner import run_experiment
@@ -179,7 +179,8 @@ def test_criterion_4_analytic_limits(setup):
     )
     expected = np.exp(-2.0 * params.g**2 * params.gamma_s * 40.0
                       / (C_LIGHT * params.omega_rabi**2))
-    got = transmission_freq((0.0, 0.0), None, params, rtol=1e-9).intensity
+    got = intensity(transmission_freq((0.0, 0.0), (0.0, 0.0, 0.0), params,
+                                      InteractionParams(gamma_p=0.0), rtol=1e-9))
     eit_ok = abs(got - expected) <= 1e-6 * expected
 
     # (b) full blockade reproduces two-level absorption within 1%
@@ -188,9 +189,9 @@ def test_criterion_4_analytic_limits(setup):
         gamma_s=0.0, cloud_half_length=5.0, profile="uniform", z_extent=5.0,
     )
     inter = _resonant_interaction(c3=1.0e6, gamma_p=from_mhz(0.05))
-    blocked = transmission_freq(
+    blocked = intensity(transmission_freq(
         (0.0, 0.0), (0.0, 0.0, 0.0), blocked_params, inter
-    ).intensity
+    ))
     # resonant two-level optical depth 2 g^2 L_eff / (c gamma) on axis
     od_limit = np.exp(-2.0 * blocked_params.g**2 * blocked_params.effective_length
                       / (blocked_params.c * blocked_params.gamma))

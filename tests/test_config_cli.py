@@ -37,6 +37,16 @@ def _run_python(code: str) -> str:
     return result.stdout.strip()
 
 
+def _write_gamma_p0_preset(path):
+    """The 50S/48S preset with gamma_p = 0, whose V_ef has a pole at the
+    resonance."""
+    preset = (resources.files("rydsim.data") / "rb87_50s48s.channels"
+              ).read_text(encoding="utf-8")
+    assert "\ngamma_p_mhz = 0.15\n" in preset
+    path.write_text(preset.replace("\ngamma_p_mhz = 0.15\n", "\ngamma_p_mhz = 0\n"),
+                    encoding="utf-8")
+
+
 class TestLoadConfig:
     def test_defaults_without_file(self):
         cfg = load_config(None, "gain-scan")
@@ -418,6 +428,18 @@ class TestCli:
              "pair system '{inputs}/latin1.channels' is not UTF-8 text"),
             ("gain-scan", ["--set", "pair_system={inputs}"],
              "pair system '{inputs}' cannot be read"),
+            # with gamma_p = 0, V_ef has a pole at the resonance: the default
+            # grid's midpoint and the default retrieval field
+            ("gain-scan", ["--set", "pair_system={inputs}/gamma_p0.channels",
+                           "--samples", "20"],
+             "at 0.709999 V/cm is not finite: V_ef has a pole there"),
+            ("fidelity-scan", ["--set", "pair_system={inputs}/gamma_p0.channels",
+                               "--samples", "20", "--set", "rate_grid=10"],
+             "at 0.709999 V/cm is not finite: V_ef has a pole there"),
+            ("retrieval", ["--set", "pair_system={inputs}/gamma_p0.channels",
+                           "--set", "retrieval_offsets=1",
+                           "--set", "spinwave_points=11"],
+             "at 0.709999 V/cm is not finite: V_ef has a pole there"),
         ],
     )
     def test_bad_scan_input_exits_with_config_code(self, tmp_path, scan, args,
@@ -426,6 +448,7 @@ class TestCli:
         inputs.mkdir()
         for name in ("latin1.cfg", "latin1.channels"):
             (inputs / name).write_bytes("samples = 500  # \u00e9\n".encode("latin-1"))
+        _write_gamma_p0_preset(inputs / "gamma_p0.channels")
         args = [arg.replace("{inputs}", str(inputs)) for arg in args]
         message = message.replace("{inputs}", str(inputs))
         runner = CliRunner()
@@ -436,6 +459,17 @@ class TestCli:
         assert "Traceback" not in result.stderr
         assert message in result.stderr
         assert not (tmp_path / "summary.json").exists()
+
+    def test_stark_map_runs_past_a_pole_of_v_ef(self, tmp_path):
+        # the Stark map takes no V_ef, so a gamma_p = 0 preset still maps
+        # its default fields, the resonance among them
+        path = tmp_path / "gamma_p0.channels"
+        _write_gamma_p0_preset(path)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["starkmap", "--set", f"pair_system={path}",
+                                           "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert (out / "starkmap.csv").exists()
 
     @pytest.mark.parametrize(
         "scan, args",

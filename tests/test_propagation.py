@@ -18,11 +18,15 @@ from rydsim.propagation import (
     _graded_grid,
     chi_values,
     eit_baseline,
+    intensity,
     transmission_batch,
     transmission_freq,
     transmission_time_oracle,
 )
 from rydsim.units import C_LIGHT, from_mhz
+
+# no channels: C6 = 0, so `transmission_freq` integrates the EIT term alone
+_GATE_FREE = InteractionParams(gamma_p=0.0)
 
 
 def _resonant_interaction(c3, gamma_p):
@@ -47,13 +51,15 @@ class TestAnalyticLimits:
             -2.0 * params.g**2 * params.gamma_s * 40.0
             / (C_LIGHT * params.omega_rabi**2)
         )
-        assert eit_baseline(params).intensity == pytest.approx(expected, rel=1e-12)
-        got = transmission_freq((0.0, 0.0), None, params, rtol=1e-9)
-        assert got.intensity == pytest.approx(expected, rel=1e-6)
+        assert intensity(eit_baseline(params)) == pytest.approx(expected, rel=1e-12)
+        got = transmission_freq((0.0, 0.0), (0.0, 0.0, 0.0), params, _GATE_FREE,
+                                rtol=1e-9)
+        assert intensity(got) == pytest.approx(expected, rel=1e-6)
 
     def test_gaussian_baseline_matches_quadrature(self, setup):
-        closed = eit_baseline(setup.params).intensity
-        quad = transmission_freq((0.0, 0.0), None, setup.params, rtol=1e-9).intensity
+        closed = intensity(eit_baseline(setup.params))
+        quad = intensity(transmission_freq((0.0, 0.0), (0.0, 0.0, 0.0), setup.params,
+                                           _GATE_FREE, rtol=1e-9))
         # finite integration span truncates the Gaussian tails
         assert quad == pytest.approx(closed, rel=1e-4)
 
@@ -65,7 +71,7 @@ class TestAnalyticLimits:
         # blockade radius way beyond the cloud: the gate turns the whole
         # medium into a resonant two-level absorber
         inter = _resonant_interaction(c3=1.0e6, gamma_p=from_mhz(0.05))
-        got = transmission_freq((0.0, 0.0), (0.0, 0.0, 0.0), params, inter).intensity
+        got = intensity(transmission_freq((0.0, 0.0), (0.0, 0.0, 0.0), params, inter))
         # resonant two-level optical depth 2 g^2 L_eff / (c gamma) on axis
         od = 2.0 * params.g**2 * params.effective_length / (params.c * params.gamma)
         assert got == pytest.approx(np.exp(-od), rel=1e-2)
@@ -75,8 +81,8 @@ class TestAnalyticLimits:
             g=1.0e4, omega_rabi=from_mhz(5.0), gamma=from_mhz(3.0),
             gamma_s=from_mhz(0.1), cloud_half_length=20.0, profile="uniform",
         )
-        t1 = eit_baseline(params, density_scale=1.0).amplitude
-        t2 = eit_baseline(params, density_scale=2.0).amplitude
+        t1 = eit_baseline(params, density_scale=1.0)
+        t2 = eit_baseline(params, density_scale=2.0)
         assert t2 == pytest.approx(t1**2, rel=1e-12)
 
     @pytest.mark.parametrize("profile", ["gaussian", "uniform"])
@@ -99,10 +105,9 @@ class TestAnalyticLimits:
         scales = rng.uniform(0.0, 1.5, size=9)
         batch = eit_baseline(setup.params, scales)
         single = [eit_baseline(setup.params, s) for s in scales]
-        assert batch.amplitude.shape == batch.intensity.shape == (9,)
-        assert np.allclose(batch.amplitude, [r.amplitude for r in single],
-                           rtol=1e-15, atol=0.0)
-        assert np.allclose(batch.intensity, [r.intensity for r in single],
+        assert batch.shape == intensity(batch).shape == (9,)
+        assert np.allclose(batch, single, rtol=1e-15, atol=0.0)
+        assert np.allclose(intensity(batch), [intensity(t) for t in single],
                            rtol=1e-15, atol=0.0)
 
 
@@ -114,15 +119,15 @@ class TestPassivity:
             field = rng.uniform(0.0, 1.2)
             t = transmission_freq(offset, gate, setup.params, setup.interaction,
                                   field=field)
-            assert abs(t.amplitude) <= 1.0 + 1e-12
+            assert abs(t) <= 1.0 + 1e-12
 
     def test_gate_never_increases_transmission(self, setup):
-        base = eit_baseline(setup.params).intensity
+        base = intensity(eit_baseline(setup.params))
         res = setup.resonance_field
-        blocked = transmission_freq(
+        blocked = intensity(transmission_freq(
             (0.0, 0.0), (0.0, 0.0, 0.0), setup.params, setup.interaction,
             field=res,
-        ).intensity
+        ))
         assert blocked < base
 
 
@@ -135,15 +140,15 @@ class TestBatchSolver:
         )
         scales = rng.uniform(0.4, 1.0, size=n)
         field = setup.resonance_field
-        batch = transmission_batch(
-            offsets, gates, setup.params, setup.interaction, field=field,
+        (batch,) = transmission_batch(
+            offsets, gates, setup.params, setup.interaction, [field],
             density_scale=scales,
         )
         for i in range(n):
             ref = transmission_freq(
                 offsets[i], gates[i], setup.params, setup.interaction,
                 field=field, density_scale=scales[i],
-            ).amplitude
+            )
             assert abs(batch[i] - ref) < 2e-3
 
     @pytest.mark.parametrize("pair_system, fields", [
@@ -162,11 +167,11 @@ class TestBatchSolver:
                         span - 25.0, span - 10.0, span - 0.5]
         offsets[6:12] = gates[6:12, :2] + rng.normal(0.0, 0.3, size=(6, 2))
         amps = transmission_batch(offsets, gates, params, setup.interaction,
-                                  field=np.array(fields), density_scale=scales)
+                                  fields, density_scale=scales)
         for k, field in enumerate(fields):
             ref = [transmission_freq(offsets[i], gates[i], params, setup.interaction,
                                      field=field, density_scale=scales[i],
-                                     rtol=1e-10).amplitude
+                                     rtol=1e-10)
                    for i in range(len(scales))]
             assert np.max(np.abs(amps[k] - ref)) <= 1e-5
 
@@ -183,15 +188,15 @@ class TestBatchSolver:
         )
         scales = rng.uniform(0.4, 1.0, size=n)
         amps = transmission_batch(offsets, gates, params, free,
-                                  field=[0.0, 0.71], density_scale=scales)
+                                  [0.0, 0.71], density_scale=scales)
         for i, scale in enumerate(scales):
-            ref = eit_baseline(params, scale).amplitude
+            ref = eit_baseline(params, scale)
             assert np.all(np.abs(amps[:, i] - ref) <= 1e-15 * abs(ref))
 
 
 class TestFieldGrid:
     """A field grid solves the geometry once; each row must equal the
-    scalar-field call at that field."""
+    one-field grid call at that field."""
 
     @pytest.mark.parametrize("pair_system, lo, hi", [
         ("rb87_50s48s", 0.69, 0.73),
@@ -211,10 +216,10 @@ class TestFieldGrid:
         )
         scales = rng.uniform(0.4, 1.0, size=n)
         grid = transmission_batch(offsets, gates, setup.params, setup.interaction,
-                                  field=fields, density_scale=scales)
-        stacked = np.stack([
+                                  fields, density_scale=scales)
+        stacked = np.concatenate([
             transmission_batch(offsets, gates, setup.params, setup.interaction,
-                               field=f, density_scale=scales)
+                               [f], density_scale=scales)
             for f in fields
         ])
         assert stacked.shape == (fields.size, n)
@@ -229,14 +234,14 @@ class TestFieldGrid:
 
         def batch(rows, field):
             return transmission_batch(offsets[rows], gates[rows], setup.params,
-                                      setup.interaction, field=field,
+                                      setup.interaction, field,
                                       density_scale=scales[rows])
 
         full = batch(slice(None), fields)
         for lo, hi in [(0, 1), (270, 290), (550, 700)]:
             assert np.array_equal(batch(slice(lo, hi), fields), full[:, lo:hi])
         for k, f in enumerate(fields):
-            assert np.array_equal(batch(slice(None), f), full[k])
+            assert np.array_equal(batch(slice(None), [f]), full[k:k + 1])
 
     def test_rows_sharing_a_gate_z_match_each_row_alone(self, setup, rng):
         # rows in runs of 1 to 12 on 20 gate z values, in shuffled order,
@@ -255,18 +260,23 @@ class TestFieldGrid:
         runs = np.count_nonzero(np.diff(z)) + 1
         assert runs < n // 2 and np.count_nonzero(np.diff(z == values[0]) == 1) > 1
         amps = transmission_batch(offsets, gates, setup.params, setup.interaction,
-                                  field=fields, density_scale=scales)
+                                  fields, density_scale=scales)
         for i in range(n):
             alone = transmission_batch(offsets[i:i + 1], gates[i:i + 1], setup.params,
-                                       setup.interaction, field=fields,
+                                       setup.interaction, fields,
                                        density_scale=scales[i:i + 1])
             assert np.array_equal(amps[:, i:i + 1], alone)
 
-    def test_scalar_field_keeps_sample_shape(self, setup):
+    def test_field_grid_must_be_one_dimensional(self, setup):
         gates = np.array([[0.0, 0.0, 5.0], [1.0, -1.0, -20.0], [0.5, 0.5, 0.0]])
+        res = setup.resonance_field
         amps = transmission_batch(np.zeros((3, 2)), gates, setup.params,
-                                  setup.interaction, field=setup.resonance_field)
-        assert amps.shape == (3,)
+                                  setup.interaction, [res])
+        assert amps.shape == (1, 3)
+        for fields in (res, [[res, 0.7]]):
+            with pytest.raises(ValueError, match="1-D field grid"):
+                transmission_batch(np.zeros((3, 2)), gates, setup.params,
+                                   setup.interaction, fields)
 
 
 def _complex_blockade(g_sq, d_sq, c6, params):
@@ -309,12 +319,12 @@ class TestBlockadeKernel:
         params = setup.params
         offsets, gates, scales = _samples(rng, 60)
         amps = transmission_batch(offsets, gates, params, setup.interaction,
-                                  field=fields, density_scale=scales)
+                                  fields, density_scale=scales)
         z, weights = _gate_panels(params.z_extent, gates[:, 2])
         g_sq = weights * params.g**2 * scales[:, None] * params.relative_density(z)
         t_dist_sq = np.sum((offsets - gates[:, :2]) ** 2, axis=1)
         d_sq = np.maximum((z - gates[:, 2:]) ** 2 + t_dist_sq[:, None], R_MIN**2)
-        base = eit_baseline(params, scales).amplitude
+        base = eit_baseline(params, scales)
         for k in range(fields.size):
             blockade = _complex_blockade(g_sq, d_sq, c6[k], params).sum(axis=1)
             ref = base * np.exp(1j * blockade / params.c)
@@ -381,7 +391,7 @@ class TestBlockadeKernel:
         tracemalloc.start()
         try:
             transmission_batch(offsets, gates, setup.params, setup.interaction,
-                               field=fields, density_scale=scales)
+                               fields, density_scale=scales)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -398,7 +408,7 @@ class TestBlockadeKernel:
         tracemalloc.start()
         try:
             amps = transmission_batch(offsets, gates, setup.params, setup.interaction,
-                                      field=fields, density_scale=scales)
+                                      fields, density_scale=scales)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -420,10 +430,10 @@ class TestBlockadeKernel:
 
         monkeypatch.setattr(propagation, "_blockade_rows", record)
         amps = transmission_batch(offsets, gates, setup.params, setup.interaction,
-                                  field=fields, density_scale=scales)
+                                  fields, density_scale=scales)
         assert len(written) > 1  # several row blocks
         blockade = np.concatenate(written, axis=1)
-        ref = (eit_baseline(setup.params, scales).amplitude
+        ref = (eit_baseline(setup.params, scales)
                * np.exp(1j * blockade / setup.params.c))
         assert amps.tobytes() == ref.tobytes()
 
@@ -435,9 +445,9 @@ def test_time_domain_oracle_agrees_with_frequency_solver():
         cloud_half_length=15.0, profile="uniform", z_extent=21.0,
     )
     inter = _resonant_interaction(c3=350.0, gamma_p=0.5)
-    i_freq = transmission_freq((0.0, 0.0), (0.0, 0.0, 3.0), params, inter).intensity
-    (result,) = transmission_time_oracle([(params, inter, 3.0)])
-    assert abs(i_freq - result.intensity) < 0.01
+    i_freq = intensity(transmission_freq((0.0, 0.0), (0.0, 0.0, 3.0), params, inter))
+    (amp,) = transmission_time_oracle([(params, inter, 3.0)])
+    assert abs(i_freq - intensity(amp)) < 0.01
 
 
 def _oracle_sets(seed, n_sets):
@@ -489,7 +499,7 @@ def _sparse_steady_state(sets):
 
     amps = []
     for params, inter, gate_z in sets:
-        blocks, g_local, dt = propagation._oracle_set(params, inter, gate_z, 0.0)
+        blocks, g_local, dt = propagation._oracle_set(params, inter, gate_z)
         step, inject, read = _oracle_step(blocks, g_local, dt)
         q = np.exp(-1j * params.omega * dt)
         lhs = q * sparse.eye_array(step.shape[0], format="csr") - step
@@ -505,7 +515,7 @@ def _stepwise_oracle(sets, length=1.0):
     trailing 30 %."""
     amps = []
     for params, inter, gate_z in sets:
-        blocks, g_local, dt = propagation._oracle_set(params, inter, gate_z, 0.0)
+        blocks, g_local, dt = propagation._oracle_set(params, inter, gate_z)
         step, inject, read = _oracle_step(blocks, g_local, dt)
         v_g = params.c * params.omega_rabi**2 / (params.g**2 + params.omega_rabi**2)
         gamma_eit = params.omega_rabi**2 / params.gamma + params.gamma_s
@@ -526,7 +536,7 @@ def _stepwise_oracle(sets, length=1.0):
     return np.array(amps)
 
 
-def _looped_oracle_set(params, inter, gate_z, field):
+def _looped_oracle_set(params, inter, gate_z):
     """Cell blocks of one oracle set from one `scipy.linalg.expm` per cell,
     each generator built on its own, as `_oracle_set` built them before it
     stacked the cells."""
@@ -534,10 +544,10 @@ def _looped_oracle_set(params, inter, gate_z, field):
 
     from rydsim.atomic_states import forster_defect
 
-    blocks, g_local, dt = propagation._oracle_set(params, inter, gate_z, field)
+    blocks, g_local, dt = propagation._oracle_set(params, inter, gate_z)
     z = np.linspace(-params.z_extent, params.z_extent, g_local.size)
     m = 2 + len(inter.channels)
-    defects = [forster_defect(ch, field) for ch in inter.channels]
+    defects = [forster_defect(ch, 0.0) for ch in inter.channels]
     ref = np.empty((z.size, m, m + 1), dtype=complex)
     a = np.zeros((m + 1, m + 1), dtype=complex)
     for i in range(z.size):
@@ -568,7 +578,7 @@ def _cell_errors(got, ref):
 def test_stacked_expm_matches_one_call_per_cell():
     sets = [*_oracle_sets(12345, 10), *_oracle_case("two channels")]
     for params, inter, gate_z in sets:
-        blocks, ref = _looped_oracle_set(params, inter, gate_z, 0.0)
+        blocks, ref = _looped_oracle_set(params, inter, gate_z)
         assert np.max(_cell_errors(blocks, ref)) <= 1e-14
 
 
@@ -607,7 +617,7 @@ class TestOracleSteadyState:
         if name == "detuned":  # q = exp(-i omega dt) != 1
             assert sets[0][0].omega != 0.0
         ref = np.abs(_stepwise_oracle(sets)) ** 2
-        got = np.array([r.intensity for r in transmission_time_oracle(sets)])
+        got = intensity(transmission_time_oracle(sets))
         assert np.all(ref > 0.1)
         assert np.max(np.abs(got - ref)) <= 1e-4
 
@@ -615,7 +625,7 @@ class TestOracleSteadyState:
         # seed 12, set 6: the default run misses by 0.06, the slowest mode
         # decays at the P-pair rate, far beyond the run
         sets = [_oracle_sets(12, 7)[6]]
-        steady = transmission_time_oracle(sets)[0].intensity
+        steady = intensity(transmission_time_oracle(sets)[0])
         errors = [abs(abs(_stepwise_oracle(sets, length)[0]) ** 2 - steady)
                   for length in (1.0, 2.0, 3.0)]
         assert errors[0] > 0.05
@@ -627,7 +637,7 @@ class TestOracleSteadyState:
         # an int case is a seed of the default 10-set check
         sets = _oracle_sets(case, 10) if isinstance(case, int) else _oracle_case(case)
         ref = _sparse_steady_state(sets)
-        got = np.array([r.amplitude for r in transmission_time_oracle(sets)])
+        got = transmission_time_oracle(sets)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
     def test_too_fine_grid_fails_before_anything_is_built(self, monkeypatch):
@@ -672,7 +682,7 @@ def _quad_cases():
     return [
         ((0.2, -0.4), (1.0, 0.5, 3.0), setup.params, setup.interaction, field),
         ((0.0, 0.0), (0.0, 0.0, 0.0), setup.params, setup.interaction, 0.70),
-        ((0.0, 0.0), None, setup.params, None, 0.0),
+        ((0.0, 0.0), (0.0, 0.0, 0.0), setup.params, _GATE_FREE, 0.0),
         ((0.0, 0.0), (0.0, 0.0, gate_z), params, inter, 0.0),
         ((0.0, 0.0), (0.0, 0.0, gate_z), dataclasses.replace(params, omega=0.03),
          inter, 0.0),
@@ -685,11 +695,9 @@ def test_quadrature_lies_within_rtol_of_scipy_quad(rtol):
     from scipy.integrate import quad
 
     for offset, gate, params, inter, field in _quad_cases():
-        pref, gate_z, t_dist_sq = 0.0, 0.0, 0.0
-        if gate is not None:
-            pref = effective_c6(params.omega, field, inter)
-            gate_z = gate[2]
-            t_dist_sq = (offset[0] - gate[0]) ** 2 + (offset[1] - gate[1]) ** 2
+        pref = effective_c6(params.omega, field, inter)
+        gate_z = gate[2]
+        t_dist_sq = (offset[0] - gate[0]) ** 2 + (offset[1] - gate[1]) ** 2
         span = params.z_extent
         points = [max(gate_z - 20.0, -span), gate_z, min(gate_z + 20.0, span)]
         if params.profile == "uniform":
@@ -699,8 +707,7 @@ def test_quadrature_lies_within_rtol_of_scipy_quad(rtol):
             -span, span, complex_func=True, epsrel=1e-12, epsabs=1e-14,
             limit=2000, points=points)
         ref = np.exp(1j * integral / params.c)
-        got = transmission_freq(offset, gate, params, inter, field=field,
-                                rtol=rtol).amplitude
+        got = transmission_freq(offset, gate, params, inter, field=field, rtol=rtol)
         # an exponent within rtol of the reference integral
         assert abs(got - ref) <= rtol * abs(integral) / params.c * abs(ref)
 
@@ -718,7 +725,7 @@ def test_quadrature_failure_raises_numerics_error(setup, monkeypatch):
     monkeypatch.setattr(propagation, "chi_values",
                         lambda z, *args: np.full(np.shape(z), np.nan))
     with pytest.raises(NumericsError, match="quadrature failed: integral"):
-        transmission_freq((0.0, 0.0), None, setup.params)
+        transmission_freq((0.0, 0.0), (0.0, 0.0, 0.0), setup.params, _GATE_FREE)
 
 
 def test_unreachable_tolerance_raises_numerics_error(setup):

@@ -15,6 +15,8 @@ from rydsim.interaction import InteractionParams  # noqa: E402
 from rydsim.propagation import (  # noqa: E402
     R_MIN,
     PropagationParams,
+    eit_baseline,
+    intensity,
     transmission_batch,
     transmission_freq,
     transmission_time_oracle,
@@ -65,17 +67,19 @@ def test_steady_state_graded_grid_and_quadrature_agree(case, data):
     gate = (0.0, 0.0, gate_z)
     ref = transmission_freq((0.0, 0.0), gate, params, inter)
     (steady,) = transmission_time_oracle([case])
-    batch = transmission_batch(np.zeros((1, 2)), np.array([gate]), params, inter)
+    (batch,) = transmission_batch(np.zeros((1, 2)), np.array([gate]), params, inter,
+                                  [0.0])
     # the criterion-3 bound, and the bound of TestBatchSolver
-    assert abs(steady.intensity - ref.intensity) <= 0.01
-    assert abs(batch[0] - ref.amplitude) <= 2e-3
+    assert abs(intensity(steady) - intensity(ref)) <= 0.01
+    assert abs(batch[0] - ref) <= 2e-3
     # the gate panels against a converged quadrature, on both profiles (a
     # uniform slab's ends are panel edges), for a path at least R_MIN off
     # the gate line: nearer, the clamp's kink falls inside a gate panel
     path = (data.draw(st.floats(R_MIN, 4.0)), 0.0)
-    batch = transmission_batch(np.array([path]), np.array([gate]), params, inter)
+    (batch,) = transmission_batch(np.array([path]), np.array([gate]), params, inter,
+                                  [0.0])
     converged = transmission_freq(path, gate, params, inter, rtol=1e-10)
-    assert abs(batch[0] - converged.amplitude) <= 2e-5
+    assert abs(batch[0] - converged) <= 2e-5
 
 
 @settings(max_examples=30, deadline=None)
@@ -97,3 +101,32 @@ def test_batch_is_passive(case, data):
                               inter, fields, density_scale=rng.uniform(0.0, 1.0, n))
     assert amps.shape == (4, n)
     assert np.all(np.abs(amps) <= 1.0 + 4 * np.finfo(float).eps)
+
+
+@st.composite
+def _uniform_slabs(draw):
+    """A uniform slab drawn over the ranges of `runner._oracle_parameter_sets`."""
+    gamma = draw(st.floats(4.0, 8.0))
+    omega_rabi = gamma * draw(st.floats(1.2, 2.2))
+    gamma_s = 0.01 * min(omega_rabi, gamma) * 10 ** draw(st.floats(-1.0, 0.0))
+    half_len = draw(st.floats(12.0, 20.0))
+    od = draw(st.floats(1.5, 4.0))
+    c = 300.0
+    g = math.sqrt(od * c * gamma / (2.0 * 2.0 * half_len))
+    return PropagationParams(
+        g=g, omega_rabi=omega_rabi, gamma=gamma, gamma_s=gamma_s, c=c,
+        cloud_half_length=half_len, profile="uniform", z_extent=half_len + 6.0,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=_uniform_slabs(), scale=st.floats(0.1, 1.0), data=st.data())
+def test_gate_free_quadrature_is_the_closed_form(params, scale, data):
+    # no channels: C6 = 0, so wherever the gate and the path are, the
+    # quadrature integrates the EIT term alone, across the slab's ends
+    span = params.z_extent
+    path = (data.draw(st.floats(-4.0, 4.0)), data.draw(st.floats(-4.0, 4.0)))
+    gate = (0.0, 0.0, data.draw(st.floats(-span, span)))
+    got = transmission_freq(path, gate, params, InteractionParams(gamma_p=0.0),
+                            density_scale=scale, rtol=1e-10)
+    assert abs(got - eit_baseline(params, scale)) <= 1e-12

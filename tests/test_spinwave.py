@@ -17,7 +17,7 @@ from rydsim.config import build_setup, load_config
 from rydsim.ensemble import sample_geometry
 from rydsim.errors import NumericsError
 from rydsim.interaction import effective_c6
-from rydsim.propagation import chi_values, eit_baseline, transmission_batch
+from rydsim.propagation import chi_values, eit_baseline, intensity, transmission_batch
 from rydsim.spinwave import (
     PhotonChannel,
     SpinWaveState,
@@ -121,7 +121,7 @@ def _group_matrices(state, setup, field, n_offsets, seed):
             ch = _path_channel(state.grid, setup.params, setup.interaction, [field],
                                samples.gates[i, :2], samples.offsets[j:j + 1], [scale])
             ds.append(ch.decoherence_matrix[0])
-            baseline = eit_baseline(setup.params, scale).intensity
+            baseline = intensity(eit_baseline(setup.params, scale))
             lost = 1.0 - p_diag @ np.abs(ch.transmit[0, 0]) ** 2
             excess.append(max(lost - (1.0 - baseline), 0.0))
         decoherence[i] = np.mean(ds, axis=0)
@@ -764,8 +764,8 @@ def _single_path_channel(grid, params, interaction, field, gate, source, scale):
     the complex-form chi table and a new complex scatter array."""
     n = grid.size
     gates = np.column_stack([np.full(n, gate[0]), np.full(n, gate[1]), grid])
-    t = transmission_batch(np.tile(source, (n, 1)), gates, params, interaction,
-                           field, density_scale=scale)
+    (t,) = transmission_batch(np.tile(source, (n, 1)), gates, params, interaction,
+                              [field], density_scale=scale)
     mag = np.abs(t)
     t = np.where(mag > 1.0, t / mag, t)
     pref = effective_c6(params.omega, field, interaction)
@@ -819,7 +819,7 @@ def _per_channel_curves(setup, cfg):
     curves = {}
     for variant, field in (("model", setup.resonance_field), ("model_zero_field", 0.0)):
         samples = sample_geometry(setup.geometry, n_off, np.random.default_rng(cfg.seed))
-        baseline = eit_baseline(setup.params, samples.density_scales).intensity
+        baseline = intensity(eit_baseline(setup.params, samples.density_scales))
         overlap = np.empty((n_off, means.size))
         excess = np.empty((n_off, n_off))
         for i in range(n_off):
