@@ -1,20 +1,21 @@
 """Run configuration: file parsing, defaults and physical-object assembly.
 
-Config files are flat ``key = value`` text; unknown keys are rejected
-with line diagnostics and every physical override is validated against
-the type invariants before any computation starts.  An empty file means
-"all defaults", which are the published experimental parameters of the
+Config files are flat ``key = value`` text, read by the channel files'
+reader; an unknown or repeated key is rejected with its line number.  File
+entries and overrides are parsed or type-checked by their default's type
+and validated before any computation starts.  An empty file means "all
+defaults", which are the published experimental parameters of the
 reference setup.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,12 +25,16 @@ from .detection import count_window
 from .ensemble import ExperimentGeometry, PhotonStats
 from .errors import ConfigError
 from .interaction import InteractionParams, effective_c6
-from .presets import load_pair_system, read_input_text
+from .presets import _parse_sections, load_pair_system, read_input_text
 from .propagation import R_MIN, PropagationParams
 from .spinwave import retrieval_work_bytes
 from .units import C_LIGHT, from_mhz, to_mhz
 
 SCAN_TYPES = ("starkmap", "gain-scan", "fidelity-scan", "retrieval", "oracle-check")
+# the scans that compute V_ef, and so C6, at the fields they run at
+_C6_SCANS = ("gain-scan", "fidelity-scan", "retrieval")
+# the scans that hold a complex amplitude per field and sample in one table
+_TABLE_SCANS = ("gain-scan", "fidelity-scan")
 
 SCHEMA_VERSION = 1
 
@@ -105,13 +110,17 @@ _DEFAULTS = {
     "spinwave_points": 201,
 }
 
-_STRING_KEYS = {"pair_system", "output_dir"}
-_INT_KEYS = {"samples", "seed", "oracle_sets", "retrieval_offsets", "spinwave_points"}
-_LIST_KEYS = {"field_grid", "rate_grid", "source_means"}
-_GRID_SHORTHAND = {"field_start", "field_stop", "field_points"}
+# each key's type is its default's; the field-grid shorthand sets
+# field_grid to field_points points from field_start to field_stop
+_GRID_SHORTHAND = ("field_start", "field_stop", "field_points")
+_TYPES = {**{key: type(value) for key, value in _DEFAULTS.items()},
+          **dict.fromkeys(_GRID_SHORTHAND, float)}
+_STRING_KEYS = {key for key, kind in _TYPES.items() if kind is str}
+_INT_KEYS = {key for key, kind in _TYPES.items() if kind is int}
+_LIST_KEYS = {key for key, kind in _TYPES.items() if kind is list}
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """A fully resolved run description (all defaults applied)."""
 
@@ -152,10 +161,9 @@ def _validate(values: dict) -> None:
     for name in sorted(set(_DEFAULTS) - _STRING_KEYS - _INT_KEYS - _LIST_KEYS):
         if not math.isfinite(values[name]):
             raise ConfigError(f"{name} must be finite, got {values[name]}")
-    for name in ("storage_efficiency", "detector_efficiency"):
-        v = values[name]
-        if not 0.0 <= v <= 1.0:
-            raise ConfigError(f"{name} must lie in [0, 1], got {v}")
+    for name in ("storage_efficiency", "detector_efficiency", "retrieval_eta0"):
+        if not 0.0 <= values[name] <= 1.0:
+            raise ConfigError(f"{name} must lie in [0, 1], got {values[name]}")
     for name in (
         "beam_waist", "cloud_half_length", "cloud_radius", "atom_number",
         "g0", "omega_rabi_mhz", "gamma_mhz", "speed_of_light",
@@ -165,26 +173,28 @@ def _validate(values: dict) -> None:
             raise ConfigError(f"{name} must be > 0, got {values[name]}")
     for name in (
         "gamma_s_mhz", "gate_mean_in", "source_rate",
-        "dephasing_per_photon", "storage_time", "retrieval_eta0",
+        "dephasing_per_photon", "storage_time",
     ):
         if values[name] < 0:
             raise ConfigError(f"{name} must be >= 0, got {values[name]}")
-    # a negative seed cannot seed numpy's generator; a size beyond int64
-    # cannot be allocated, and converting it to float can overflow
-    if values["seed"] < 0:
-        raise ConfigError(f"seed must be >= 0, got {values['seed']}")
-    for name in sorted(_INT_KEYS - {"seed"}):
-        if values[name] >= 2**63:
+    # a negative seed cannot seed numpy's generator, one sample has no
+    # standard error (the gain error bar would read 0), and the spin-wave
+    # grid needs two points for its gradient and its norm; a size beyond
+    # int64 cannot be allocated, and converting it to float can overflow
+    lowest = {"seed": 0, "samples": 2, "oracle_sets": 1, "retrieval_offsets": 1,
+              "spinwave_points": 2}
+    for name in sorted(_INT_KEYS):
+        if values[name] < lowest[name]:
+            raise ConfigError(f"{name} must be >= {lowest[name]}, got {values[name]}")
+        if name != "seed" and values[name] >= 2**63:
             raise ConfigError(f"{name} must be < 2**63, got {values[name]}")
-    # one sample has no standard error: the gain error bar would read 0
-    if values["samples"] < 2:
-        raise ConfigError(f"samples must be >= 2, got {values['samples']}")
-    if values["oracle_sets"] < 1:
-        raise ConfigError("oracle_sets must be >= 1")
     if values["oracle_sets"] > _MAX_ORACLE_SETS:
         raise ConfigError(
             f"oracle_sets must be <= {_MAX_ORACLE_SETS}, got {values['oracle_sets']}"
         )
+    for name in ("rate_grid", "source_means"):
+        if len(values[name]) == 0:
+            raise ConfigError(f"{name} must not be empty")
     # a field grid holds dc field magnitudes
     fields = np.asarray(values["field_grid"], dtype=float)
     if fields.size > _MAX_FIELD_POINTS:
@@ -194,10 +204,6 @@ def _validate(values: dict) -> None:
         )
     if not np.all(np.isfinite(fields) & (fields >= 0)):
         raise ConfigError("field_grid entries must be finite and >= 0")
-    if np.any(np.diff(fields) < 0):
-        raise ConfigError("field_grid must be sorted ascending")
-    if len(values["rate_grid"]) == 0:
-        raise ConfigError("rate_grid must not be empty")
     # a rate sets a Poisson mean, so it must be a finite non-negative number
     rates = np.asarray(values["rate_grid"], dtype=float)
     if not np.all(np.isfinite(rates) & (rates >= 0)):
@@ -222,17 +228,6 @@ def _validate(values: dict) -> None:
             f"retrieval_field must be <= {_FIELD_MAX:g} V/cm, the searched Stark "
             f"range (< 0 for the first resonance), got {values['retrieval_field']}"
         )
-    if not 0.0 <= values["retrieval_eta0"] <= 1.0:
-        raise ConfigError("retrieval_eta0 must lie in [0, 1]")
-    # the spin-wave grid needs two points for its gradient and its norm
-    if values["spinwave_points"] < 2:
-        raise ConfigError(
-            f"spinwave_points must be >= 2, got {values['spinwave_points']}"
-        )
-    if values["retrieval_offsets"] < 1:
-        raise ConfigError(
-            f"retrieval_offsets must be >= 1, got {values['retrieval_offsets']}"
-        )
     work_bytes = retrieval_work_bytes(values["spinwave_points"],
                                       values["retrieval_offsets"],
                                       len(values["source_means"]))
@@ -242,29 +237,51 @@ def _validate(values: dict) -> None:
             f"{_MAX_RETRIEVAL_WORK_BYTES / 2**30:g} GiB limit; lower "
             "spinwave_points or retrieval_offsets"
         )
-    if len(values["source_means"]) == 0:
-        raise ConfigError("source_means must not be empty")
     # a mean sets a Poisson photon number; NaN also slips past min()
     if not all(map(math.isfinite, values["source_means"])):
         raise ConfigError("source_means must all be finite")
     if min(values["source_means"]) < 0:
         raise ConfigError("source_means must all be >= 0")
-    # the headline interpolates the retrieval curve over the means
-    if np.any(np.diff(values["source_means"]) < 0):
-        raise ConfigError("source_means must be sorted ascending")
+    # the scans write their rows in field order, and the retrieval headline
+    # interpolates its curve over the means
+    for name in ("field_grid", "source_means"):
+        if np.any(np.diff(values[name]) < 0):
+            raise ConfigError(f"{name} must be sorted ascending")
 
 
-def _parse_scalar(key: str, raw: str, source: str, lineno: int):
-    if key in _STRING_KEYS:
-        return raw
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _LIST_KEYS:
-            return [float(v) for v in raw.split(",") if v.strip()]
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {raw!r}") from exc
+# what a value other than a string must be for a key of each type
+_FITS = {str: "a string", int: "an int", float: "an int or a float",
+         list: "a list or tuple of ints and floats"}
+
+
+def _fits(kind: type, value) -> bool:
+    """Whether `value`, not a string, is what `_FITS` asks for a `kind` key."""
+    if kind is list:
+        return isinstance(value, (list, tuple)) and all(_fits(float, v) for v in value)
+    return (isinstance(value, (int, float) if kind is float else kind)
+            and not isinstance(value, bool))
+
+
+def _assign(values: dict, shorthand: dict, key: str, value, where: str) -> None:
+    """Set `key` in `values`, or in `shorthand` for a field-grid shorthand
+    key.  A string is parsed by the key's type; any other value must fit
+    that type and is kept as it is.  `where` leads every message."""
+    kind = _TYPES.get(key)
+    if kind is None:
+        raise ConfigError(f"{where}unknown key {key!r}")
+    if isinstance(value, str):
+        try:
+            value = ([float(v) for v in value.split(",") if v.strip()]
+                     if kind is list else kind(value))
+        except ValueError as exc:
+            raise ConfigError(f"{where}bad value for {key!r}: {value!r}") from exc
+    elif not _fits(kind, value):
+        raise ConfigError(f"{where}bad value for {key!r}: {value!r} is not "
+                          f"{_FITS[kind]}")
+    if key in _GRID_SHORTHAND:
+        shorthand[key] = float(value)
+    else:
+        values[key] = value
 
 
 def load_config(
@@ -276,34 +293,18 @@ def load_config(
     values = dict(_DEFAULTS)
     shorthand = {}
     if path is not None:
-        text = read_input_text(path, "config file")
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = (p.strip() for p in line.split("=", 1))
-            if key in _GRID_SHORTHAND:
-                shorthand[key] = _parse_scalar(key, value, path, lineno)
-                continue
-            if key not in _DEFAULTS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _parse_scalar(key, value, path, lineno)
+        (_, entries), *blocks = _parse_sections(read_input_text(path, "config file"), path)
+        if blocks:
+            raise ConfigError(
+                f"{path}:{blocks[0][0]}: a config file has no [channel] blocks; "
+                "channels belong in the channel file that pair_system names"
+            )
+        for key, (lineno, value) in entries.items():
+            _assign(values, shorthand, key, value, f"{path}:{lineno}: ")
     for key, value in (overrides or {}).items():
-        if key in _GRID_SHORTHAND:
-            if isinstance(value, str):
-                value = _parse_scalar(key, value, "<override>", 0)
-            shorthand[key] = float(value)
-            continue
-        if key not in _DEFAULTS:
-            raise ConfigError(f"unknown override key {key!r}")
-        if isinstance(value, str):
-            values[key] = _parse_scalar(key, value, "<override>", 0)
-        else:
-            values[key] = value
+        _assign(values, shorthand, key, value, "override: ")
     if shorthand:
-        missing = _GRID_SHORTHAND - set(shorthand)
+        missing = set(_GRID_SHORTHAND) - set(shorthand)
         if missing:
             raise ConfigError(f"incomplete field grid shorthand; missing {sorted(missing)}")
         for key in ("field_start", "field_stop"):
@@ -323,9 +324,9 @@ def load_config(
     return RunConfig(scan=scan, values=values)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SimulationSetup:
-    """Physical objects assembled from a RunConfig."""
+    """Physical objects assembled from a RunConfig, and its scan's fields."""
 
     pair: PairConfig
     geometry: ExperimentGeometry
@@ -334,39 +335,44 @@ class SimulationSetup:
     stats: PhotonStats
     config: RunConfig
 
-    @property
-    def resonance_field(self) -> float:
-        roots = resonance_fields(self.pair, field_max=_FIELD_MAX)
-        if not roots:
-            raise ConfigError(
-                f"pair system {self.pair.name!r} has no resonance below "
-                f"{_FIELD_MAX:g} V/cm"
-            )
-        return roots[0][0]
+    # the first resonance below _FIELD_MAX, None where there is none
+    resonance_field: Optional[float]
+    # the fields (V/cm) the scan runs at, from `_scan_fields`
+    fields: np.ndarray
 
-    @property
-    def retrieval_field(self) -> float:
-        """The retrieval scan's field: `retrieval_field`, or the first
-        resonance where that is < 0."""
-        field = self.config.retrieval_field
-        return self.resonance_field if field < 0 else field
 
-    def default_field_grid(self) -> np.ndarray:
-        res = self.resonance_field
-        if res > 0.4:
-            return np.linspace(res - 0.1, res + 0.1, 101)
-        return np.linspace(0.0, 0.25, 126)
+def _scan_fields(config: RunConfig, resonance: Optional[float]) -> np.ndarray:
+    """The fields a scan runs at: the field grid of the Stark map, gain and
+    fidelity scans, by default 0.1 V/cm either side of the first resonance
+    (0 to 0.25 V/cm for one below 0.4 V/cm); the retrieval field, by default
+    the first resonance, and zero; none for the oracle check."""
+    if config.scan == "oracle-check":
+        return np.empty(0)
+    if config.scan == "retrieval" and config.retrieval_field >= 0:
+        return np.array([config.retrieval_field, 0.0])
+    if config.scan != "retrieval" and config.field_grid:
+        return np.asarray(config.field_grid, dtype=float)
+    if resonance is None:
+        raise ConfigError(
+            f"pair system {config.pair_system!r} has no resonance below "
+            f"{_FIELD_MAX:g} V/cm"
+        )
+    if config.scan == "retrieval":
+        return np.array([resonance, 0.0])
+    if resonance > 0.4:
+        return np.linspace(resonance - 0.1, resonance + 0.1, 101)
+    return np.linspace(0.0, 0.25, 126)
+
+
+def _from_config(cls: type, config: RunConfig):
+    """A `cls` built from the config keys that its fields are named after."""
+    return cls(**{f.name: config.values[f.name] for f in dataclasses.fields(cls)})
 
 
 def build_setup(config: RunConfig) -> SimulationSetup:
     """Resolve the pair system and build all parameter objects."""
     pair, extras = load_pair_system(config.pair_system)
-    geometry = ExperimentGeometry(
-        beam_waist=config.beam_waist,
-        cloud_half_length=config.cloud_half_length,
-        cloud_radius=config.cloud_radius,
-        atom_number=config.atom_number,
-    )
+    geometry = _from_config(ExperimentGeometry, config)
     # an extreme cloud_radius underflows or overflows the density formula
     try:
         density = geometry.peak_density
@@ -438,14 +444,9 @@ def build_setup(config: RunConfig) -> SimulationSetup:
             stacklevel=2,
         )
     interaction = InteractionParams(gamma_p=extras["gamma_p"], channels=channels)
-    stats = PhotonStats(
-        gate_mean_in=config.gate_mean_in,
-        source_rate=config.source_rate,
-        pulse_length=config.pulse_length,
-        storage_efficiency=config.storage_efficiency,
-        detector_efficiency=config.detector_efficiency,
-        dephasing_per_photon=config.dephasing_per_photon,
-    )
+    stats = _from_config(PhotonStats, config)
+    roots = resonance_fields(pair, field_max=_FIELD_MAX)
+    resonance = roots[0][0] if roots else None
     setup = SimulationSetup(
         pair=pair,
         geometry=geometry,
@@ -453,24 +454,19 @@ def build_setup(config: RunConfig) -> SimulationSetup:
         interaction=interaction,
         stats=stats,
         config=config,
+        resonance_field=resonance,
+        fields=_scan_fields(config, resonance),
     )
-    # the fields the scan runs at: zero field, its field grid (a gain or
-    # fidelity scan's default one if none is given) and a retrieval field
-    grid = config.field_grid
-    if config.scan in ("gain-scan", "fidelity-scan"):
-        grid = grid or setup.default_field_grid().tolist()
-        # the scan holds every field's complex amplitudes for every sample
-        # in one table
-        table_bytes = 16 * len(grid) * config.samples
+    if config.scan in _TABLE_SCANS:
+        table_bytes = 16 * setup.fields.size * config.samples
         if table_bytes > _MAX_TRANSPORT_TABLE_BYTES:
             raise ConfigError(
-                f"{config.scan} transport table of {len(grid)} fields x "
+                f"{config.scan} transport table of {setup.fields.size} fields x "
                 f"{config.samples} samples takes {table_bytes / 2**30:.3g} GiB, "
                 f"above the {_MAX_TRANSPORT_TABLE_BYTES / 2**30:g} GiB limit; "
                 "lower samples or the field grid's points"
             )
-    extra = [setup.retrieval_field] if config.scan == "retrieval" else []
-    _check_blockade_fields(setup, np.array([0.0, *grid, *extra]))
+    _check_fields(setup)
     # Omega^2 divides the EIT term of chi, g^2 (omega + i gamma_s) / Omega^2.
     # The scans sum that term over the cloud, where it must stay finite, and
     # numpy divides by Omega^2 through its reciprocal, which must too; the
@@ -488,23 +484,27 @@ def build_setup(config: RunConfig) -> SimulationSetup:
     return setup
 
 
-def _check_blockade_fields(setup: SimulationSetup, fields: np.ndarray) -> None:
-    """Reject a field (the first is zero) where a channel's Förster defect
-    or C6 is not finite, or where the blockade kernel's square of
-    a = Omega^2/C6 overflows."""
+def _check_fields(setup: SimulationSetup) -> None:
+    """Reject a field where a channel's Förster defect is not finite (zero
+    field and the scan's fields), or where C6 is not finite or the blockade
+    kernel's square of a = Omega^2/C6 overflows (zero field, and the scan's
+    fields if it computes C6 there)."""
     params, interaction = setup.params, setup.interaction
+    fields = np.concatenate([[0.0], setup.fields])
+    c6_fields = fields if setup.config.scan in _C6_SCANS else fields[:1]
     # a grows with the detuning (far detuned, C6 ~ -sum c3^2/omega at every
     # field); the Förster defects square the field
     with np.errstate(all="ignore"):
-        c6 = np.broadcast_to(effective_c6(params.omega, fields, interaction), fields.shape)
-        a = np.abs(params.omega_rabi**2 / np.where(c6 != 0.0, c6, np.inf))  # 0 where C6 = 0
         defects = [forster_defect(ch, fields) for ch in setup.pair.channels]
-    for k, (field, c6_k, a_k, *defect) in enumerate(
-            zip(fields.tolist(), c6.tolist(), a.tolist(), *defects)):
+        c6 = np.broadcast_to(effective_c6(params.omega, c6_fields, interaction),
+                             c6_fields.shape)
+        a = np.abs(params.omega_rabi**2 / np.where(c6 != 0.0, c6, np.inf))  # 0 where C6 = 0
+    for field, *defect in zip(fields.tolist(), *defects):
         if not all(map(math.isfinite, defect)):
             raise ConfigError(
                 f"a channel's Förster defect at {field:g} V/cm is not finite"
             )
+    for field, c6_k, a_k in zip(c6_fields.tolist(), c6.tolist(), a.tolist()):
         # with every c3^2 finite, only a pole of V_ef makes C6 overflow
         if not cmath.isfinite(c6_k):
             raise ConfigError(
@@ -513,7 +513,7 @@ def _check_blockade_fields(setup: SimulationSetup, fields: np.ndarray) -> None:
                 f"gamma_p = {interaction.gamma_p:g} rad/us"
             )
         if not math.isfinite(a_k * a_k):
-            cause = (f"omega = {params.omega:g} rad/us" if k == 0
-                     else f"field_grid entry {field:g} V/cm")
+            cause = (f"omega = {params.omega:g} rad/us" if field == 0.0
+                     else f"the field {field:g} V/cm")
             raise ConfigError(f"{cause} is too large: the blockade term's "
                               f"|Omega^2/C6| = {a_k:g} overflows when squared")

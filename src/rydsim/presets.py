@@ -6,7 +6,6 @@ import math
 import re
 from importlib import resources
 from pathlib import Path
-from typing import Optional
 
 from .atomic_states import PairChannel, PairConfig, RydbergLevel
 from .errors import ConfigError
@@ -32,37 +31,33 @@ def parse_level(text: str) -> RydbergLevel:
         raise ConfigError(f"bad Rydberg level {text!r}: {exc}") from exc
 
 
-def _parse_sections(text: str, source: str):
-    """Split a channel file into global key-values and [channel] blocks."""
-    globals_kv = {}
-    channels = []
-    current: Optional[dict] = None
+def _parse_sections(text: str, source: str) -> list:
+    """Split `key = value` text (`#` starts a comment) into sections: the
+    leading one, then one per `[channel]` line.  A section is (the line
+    number of its header, 0 for the leading one, {key: (line number,
+    value)}); a key set twice in one section is an error."""
+    sections = [(0, {})]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line == "[channel]":
-            current = {}
-            channels.append(current)
+            sections.append((lineno, {}))
             continue
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        target = globals_kv if current is None else current
-        if key in target:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        target[key] = value
-    return globals_kv, channels
+        entries = sections[-1][1]
+        if key in entries:
+            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}, first set "
+                              f"on line {entries[key][0]}")
+        entries[key] = (lineno, value)
+    return sections
 
 
-_GLOBAL_KEYS = {
-    "name", "theta", "gate_s", "source_s",
-    "c3_prime_mhz_um3", "gamma_p_mhz",
-}
 # numeric global keys and their defaults
-_GLOBAL_NUMBERS = {
-    "theta": 0.0, "c3_prime_mhz_um3": 0.0, "gamma_p_mhz": 0.3,
-}
+_GLOBAL_NUMBERS = {"theta": 0.0, "c3_prime_mhz_um3": 0.0, "gamma_p_mhz": 0.3}
+_GLOBAL_KEYS = {"name", "gate_s", "source_s", *_GLOBAL_NUMBERS}
 _CHANNEL_KEYS = {
     "gate", "source", "defect_zero_field_mhz", "diff_polarizability_mhz",
     "zeeman_shift_mhz", "c3_mhz_um3", "weight",
@@ -75,7 +70,9 @@ def parse_channel_file(text: str, source: str = "<string>"):
     `extras` carries the interaction-level constants stored alongside
     the channels (c3_prime and gamma_p, converted to angular units).
     """
-    globals_kv, channel_blocks = _parse_sections(text, source)
+    (_, head), *blocks = _parse_sections(text, source)
+    globals_kv = {key: value for key, (_, value) in head.items()}
+    channel_blocks = [{key: value for key, (_, value) in b.items()} for _, b in blocks]
     unknown = set(globals_kv) - _GLOBAL_KEYS
     if unknown:
         raise ConfigError(f"{source}: unknown keys {sorted(unknown)}")
@@ -106,6 +103,13 @@ def parse_channel_file(text: str, source: str = "<string>"):
             raise ConfigError(f"{source}: channel {i}: missing key {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"{source}: channel {i}: {exc}") from exc
+        # V_ef squares the coupling as a Python float, which raises on overflow
+        coupling = channels[-1].coupling
+        if not math.isfinite(coupling * coupling):
+            raise ConfigError(
+                f"{source}: channel {i}: the square of coupling c3 * weight = "
+                f"{coupling:g} rad/us um^3 is not finite"
+            )
 
     numbers = {}
     for key, default in _GLOBAL_NUMBERS.items():

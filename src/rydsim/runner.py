@@ -64,15 +64,8 @@ def _write_summary(path: Path, config: RunConfig, headline: dict) -> None:
                     encoding="utf-8")
 
 
-def _field_grid(setup: SimulationSetup) -> np.ndarray:
-    grid = np.asarray(setup.config.field_grid, dtype=float)
-    if grid.size == 0:
-        grid = setup.default_field_grid()
-    return grid
-
-
 def run_starkmap(setup: SimulationSetup, out_dir: Path) -> dict:
-    fields = _field_grid(setup)
+    fields = setup.fields
     table = defect_table(setup.pair, fields)
     rows = [[f, i, table[k, i]] for k, f in enumerate(fields)
             for i in range(table.shape[1])]
@@ -85,7 +78,7 @@ def run_starkmap(setup: SimulationSetup, out_dir: Path) -> dict:
 
 
 def run_gain_scan(setup: SimulationSetup, out_dir: Path) -> dict:
-    fields = _field_grid(setup)
+    fields = setup.fields
     gain, gain_err, t0, t1 = ensemble.field_scan(
         setup.pair, setup.geometry, setup.params, setup.interaction,
         fields, setup.stats, n_samples=setup.config.samples,
@@ -115,7 +108,7 @@ def run_gain_scan(setup: SimulationSetup, out_dir: Path) -> dict:
 
 
 def run_fidelity_scan(setup: SimulationSetup, out_dir: Path) -> dict:
-    fields = _field_grid(setup)
+    fields = setup.fields
     rates = np.asarray(setup.config.rate_grid, dtype=float)
     fidelity, threshold = detection.fidelity_scan(
         setup.pair, setup.geometry, setup.params, setup.interaction,
@@ -143,15 +136,15 @@ def run_fidelity_scan(setup: SimulationSetup, out_dir: Path) -> dict:
 
 def run_retrieval(setup: SimulationSetup, out_dir: Path) -> dict:
     cfg = setup.config
-    field = setup.retrieval_field
     state = spinwave.stored_spinwave(setup.geometry, n_points=cfg.spinwave_points)
     params = setup.params
     means = np.asarray(cfg.source_means, dtype=float)
     eta_base = cfg.retrieval_eta0 * math.exp(-cfg.storage_time / cfg.intrinsic_lifetime)
-    # both fields' channels are built together, and each gate group is
-    # reduced to its Poisson overlap row as soon as it is built
+    # both fields' channels (the retrieval field's, then zero field's) are
+    # built together, and each gate group is reduced to its Poisson overlap
+    # row as soon as it is built
     overlap, p_scatter = spinwave.transverse_channels(
-        state, setup.geometry, params, setup.interaction, np.array([field, 0.0]),
+        state, setup.geometry, params, setup.interaction, setup.fields,
         n_offsets=cfg.retrieval_offsets, seed=cfg.seed, source_means=means,
     )
     ns, eff = spinwave.retrieval_efficiency_curve(overlap[0], p_scatter[0], means, eta_base)
@@ -187,7 +180,7 @@ def run_retrieval(setup: SimulationSetup, out_dir: Path) -> dict:
     # a bare NaN is not valid JSON
     at_one = float(np.interp(1.0, ns, eff)) if ns.max() >= 1.0 else None
     return {
-        "field_v_cm": float(field),
+        "field_v_cm": float(setup.fields[0]),
         "zero_source_efficiency": float(eff[0]) if means[0] == 0 else None,
         "max_n_scattered": float(ns.max()),
         "retrieval_at_one_scattered": at_one,

@@ -17,6 +17,7 @@ from click.testing import CliRunner
 
 import rydsim
 from rydsim import detection
+from rydsim.atomic_states import resonance_fields
 from rydsim.cli import main
 from rydsim.config import SCAN_TYPES, build_setup, load_config
 from rydsim.ensemble import field_scan
@@ -37,14 +38,19 @@ def _run_python(code: str) -> str:
     return result.stdout.strip()
 
 
+def _write_preset(path, line, replacement):
+    """The 50S/48S preset with its one `line` replaced."""
+    preset = (resources.files("rydsim.data") / "rb87_50s48s.channels"
+              ).read_text(encoding="utf-8")
+    assert f"\n{line}\n" in preset
+    path.write_text(preset.replace(f"\n{line}\n", f"\n{replacement}\n"),
+                    encoding="utf-8")
+
+
 def _write_gamma_p0_preset(path):
     """The 50S/48S preset with gamma_p = 0, whose V_ef has a pole at the
     resonance."""
-    preset = (resources.files("rydsim.data") / "rb87_50s48s.channels"
-              ).read_text(encoding="utf-8")
-    assert "\ngamma_p_mhz = 0.15\n" in preset
-    path.write_text(preset.replace("\ngamma_p_mhz = 0.15\n", "\ngamma_p_mhz = 0\n"),
-                    encoding="utf-8")
+    _write_preset(path, "gamma_p_mhz = 0.15", "gamma_p_mhz = 0")
 
 
 class TestLoadConfig:
@@ -74,7 +80,7 @@ class TestLoadConfig:
             load_config(str(path), "gain-scan")
 
     def test_unknown_override_rejected(self):
-        with pytest.raises(ConfigError, match="unknown override"):
+        with pytest.raises(ConfigError, match="override: unknown key 'nope'"):
             load_config(None, "gain-scan", {"nope": 1})
 
     def test_out_of_range_efficiency_rejected(self):
@@ -113,6 +119,29 @@ class TestLoadConfig:
     def test_incomplete_shorthand_rejected(self):
         with pytest.raises(ConfigError, match="incomplete"):
             load_config(None, "gain-scan", {"field_start": 0.6})
+
+    @pytest.mark.parametrize("key, value", [
+        ("samples", 2.5), ("seed", True), ("storage_efficiency", None),
+        ("rate_grid", 10.0), ("field_grid", ["0.7"]), ("field_grid", np.array([0.7])),
+        ("pair_system", Path("rb87_50s48s")), ("field_points", [3]),
+    ])
+    def test_override_of_the_wrong_type_rejected(self, key, value):
+        # a samples of 2.5 once passed every check and failed in numpy
+        with pytest.raises(ConfigError,
+                           match=f"^override: bad value for {key!r}: .* is not a"):
+            load_config(None, "gain-scan", {key: value})
+
+    def test_overrides_of_a_fitting_type_are_kept_as_given(self):
+        # stored unchanged, so the config echo and its hash stay as given
+        overrides = {"storage_efficiency": 1, "retrieval_field": 0, "samples": 50,
+                     "rate_grid": (10, 35.0), "field_grid": [0.706, 0.71]}
+        cfg = load_config(None, "fidelity-scan", overrides)
+        assert all(cfg.values[key] is value for key, value in overrides.items())
+
+    def test_override_message_has_no_line_number(self):
+        with pytest.raises(ConfigError) as info:
+            load_config(None, "gain-scan", {"samples": "abc"})
+        assert str(info.value) == "override: bad value for 'samples': 'abc'"
 
     def test_echo_excludes_output_dir(self):
         cfg = load_config(None, "gain-scan", {"output_dir": "/tmp/somewhere"})
@@ -293,6 +322,23 @@ class TestCli:
         assert f"{path}:2: unknown key 'scan'" in result.stderr
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("text, message", [
+        ("samples = 500\nseed = 7\nsamples = 600\n",
+         ":3: duplicate key 'samples', first set on line 1"),
+        ("samples = 500\n\n[channel]\nc3_mhz_um3 = 100.0\n",
+         ":3: a config file has no [channel] blocks"),
+    ], ids=["duplicate-key", "channel-block"])
+    def test_config_file_layout_errors_name_their_line(self, tmp_path, text, message):
+        # a repeated key once let its last line win without notice
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["gain-scan", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"config error: {path}{message}" in result.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "scan, args, message",
         [
@@ -417,8 +463,9 @@ class TestCli:
              "Förster defect at 5e+299 V/cm is not finite"),
             ("fidelity-scan", ["--set", "field_grid=0.71,1e300"],
              "Förster defect at 1e+300 V/cm is not finite"),
-            ("starkmap", ["--set", "field_grid=0.7,1e150"],
-             "field_grid entry 1e+150 V/cm is too large: the blockade term's"),
+            # the Stark map computes no C6, so it maps such a field
+            ("gain-scan", ["--set", "field_grid=0.7,1e150"],
+             "1e+150 V/cm is too large: the blockade term's"),
             ("retrieval", ["--set", "source_means=0,8,0.5,4,1,2"],
              "source_means must be sorted ascending"),
             # {inputs} is a directory of files that are not UTF-8
@@ -440,6 +487,10 @@ class TestCli:
                            "--set", "retrieval_offsets=1",
                            "--set", "spinwave_points=11"],
              "at 0.709999 V/cm is not finite: V_ef has a pole there"),
+            # V_ef squares the coupling c3 * weight, which every scan loads
+            *[(scan, ["--set", "pair_system={inputs}/c3_1e200.channels"],
+               "channel 0: the square of coupling c3 * weight = 6.28319e+200 "
+               "rad/us um^3 is not finite") for scan in SCAN_TYPES],
         ],
     )
     def test_bad_scan_input_exits_with_config_code(self, tmp_path, scan, args,
@@ -449,6 +500,8 @@ class TestCli:
         for name in ("latin1.cfg", "latin1.channels"):
             (inputs / name).write_bytes("samples = 500  # \u00e9\n".encode("latin-1"))
         _write_gamma_p0_preset(inputs / "gamma_p0.channels")
+        _write_preset(inputs / "c3_1e200.channels", "c3_mhz_um3 = 100.0",
+                      "c3_mhz_um3 = 1e200")
         args = [arg.replace("{inputs}", str(inputs)) for arg in args]
         message = message.replace("{inputs}", str(inputs))
         runner = CliRunner()
@@ -470,6 +523,33 @@ class TestCli:
                                            "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert (out / "starkmap.csv").exists()
+
+    @pytest.mark.parametrize("scan, args, code", [
+        ("starkmap", [], 0),
+        ("oracle-check", ["--set", "oracle_sets=1"], 0),
+        ("retrieval", ["--set", "retrieval_field=0.5", "--set", "retrieval_offsets=1",
+                       "--set", "spinwave_points=11"], 0),
+        ("gain-scan", ["--samples", "20"], 2),
+    ], ids=["starkmap", "oracle-check", "retrieval", "gain-scan"])
+    def test_grid_through_a_pole_of_v_ef_is_checked_where_c6_is(self, tmp_path, scan,
+                                                                 args, code):
+        # with gamma_p = 0, V_ef has a pole at the resonance: the Stark map
+        # computes no C6 there, and the oracle check and retrieval do not run
+        # at the field grid; the gain scan does
+        path = tmp_path / "gamma_p0.channels"
+        _write_gamma_p0_preset(path)
+        ((pole, _),) = resonance_fields(load_pair_system(str(path))[0], field_max=2.0)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, [
+            scan, "--set", f"pair_system={path}", "--set", f"field_grid=0.7,{pole!r}",
+            *args, "--out", str(out),
+        ])
+        assert result.exit_code == code, result.output
+        if scan == "starkmap":
+            rows = (out / "starkmap.csv").read_text().splitlines()
+            assert rows[2].startswith(f"{pole:.12g},0,")
+        if code == 2:
+            assert f"at {pole:g} V/cm is not finite: V_ef has a pole" in result.stderr
 
     @pytest.mark.parametrize(
         "scan, args",

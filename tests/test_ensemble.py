@@ -133,7 +133,7 @@ class TestFieldScan:
         # amplitudes, so the call holds no float table beside them
         setup = build_setup(load_config(None, "gain-scan",
                                         {"pair_system": "rb87_66s64s"}))
-        fields = setup.default_field_grid()
+        fields = setup.fields
         s = sample_geometry(setup.geometry, 2000, np.random.default_rng(5))
         peaks = []
         for call in (

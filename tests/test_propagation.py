@@ -402,7 +402,7 @@ class TestBlockadeKernel:
         # buffers, the call holds its complex result table and no copy of it
         setup = build_setup(load_config(None, "gain-scan",
                                         {"pair_system": "rb87_66s64s"}))
-        fields = setup.default_field_grid()
+        fields = setup.fields
         offsets, gates, scales = _samples(rng, 2000)
         block = propagation._BLOCK_CELLS * 8  # one float block buffer
         tracemalloc.start()
